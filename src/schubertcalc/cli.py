@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import billey, oracle, recurrence
@@ -34,7 +35,7 @@ from .errors import (
     UnknownTypeError,
 )
 from .gkm import SchubertExpansion
-from .polyring import poly_to_json, render
+from .polyring import Polynomial, poly_from_json, poly_to_json, render
 from .rootsys import RootSystem, WeylElement, named, build, perm_to_element, word_to_element
 
 __all__ = ["main"]
@@ -154,6 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+CACHE_FORMAT = 2  # bump when the entry layout or the key changes
+
+
+def _cache_key(rs: RootSystem, w, v, u, engine: str) -> str:
+    return json.dumps(
+        [list(map(list, rs.cartan)), w.describe(), v.describe(), u.describe(), engine]
+    )
+
+
 def _result_cache_path(rs: RootSystem, w, v, u, engine: str) -> Path | None:
     """Optional persistent result cache, enabled by SCHUBERTCALC_CACHE_DIR.
 
@@ -162,11 +172,45 @@ def _result_cache_path(rs: RootSystem, w, v, u, engine: str) -> Path | None:
     root = os.environ.get("SCHUBERTCALC_CACHE_DIR")
     if not root or engine == "both":
         return None
-    key = json.dumps(
-        [list(map(list, rs.cartan)), w.describe(), v.describe(), u.describe(), engine]
-    )
-    digest = hashlib.sha256(key.encode()).hexdigest()[:32]
+    digest = hashlib.sha256(_cache_key(rs, w, v, u, engine).encode()).hexdigest()[:32]
     return Path(root) / f"constant-{digest}.json"
+
+
+def _entry_digest(key: str, value: list) -> str:
+    return hashlib.sha256(json.dumps([key, value]).encode()).hexdigest()
+
+
+def _cache_read(path: Path, key: str, rank: int) -> Polynomial | None:
+    """The cached value, or None unless the entry is intact and is this key's.
+
+    A missing, truncated or edited entry, or one of another format, is a miss.
+    """
+    try:
+        entry = json.loads(path.read_text())
+        value = entry["value"]
+        if (entry["format"], entry["key"], entry["sha256"]) != (
+            CACHE_FORMAT, key, _entry_digest(key, value)
+        ):
+            return None
+        return poly_from_json(value, rank)
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def _cache_write(path: Path, key: str, value: Polynomial) -> None:
+    """Write an entry through a temporary file, so readers never see half of one."""
+    data = poly_to_json(value)
+    entry = {"format": CACHE_FORMAT, "key": key, "value": data, "sha256": _entry_digest(key, data)}
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        with os.fdopen(fd, "w") as f:
+            f.write(json.dumps(entry))
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)  # the cache is best-effort
 
 
 def _cmd_constant(args) -> int:
@@ -175,21 +219,16 @@ def _cmd_constant(args) -> int:
     w, v, u = (parse_element(rs, getattr(args, x)) for x in "wvu")
     cache_path = _result_cache_path(rs, w, v, u, args.engine)
     value = None
-    if cache_path is not None and cache_path.is_file():
-        from .polyring import poly_from_json
-
-        value = poly_from_json(json.loads(cache_path.read_text())["value"], rs.rank)
+    if cache_path is not None:
+        key = _cache_key(rs, w, v, u, args.engine)
+        value = _cache_read(cache_path, key, rs.rank)
     if value is None:
         if args.engine in ("recurrence", "both"):
             value = recurrence.structure_constant(w, v, u)
         else:
             value = oracle.oracle_constant(w, v, u)
         if cache_path is not None:
-            try:
-                cache_path.parent.mkdir(parents=True, exist_ok=True)
-                cache_path.write_text(json.dumps({"value": poly_to_json(value)}))
-            except OSError:
-                pass  # the cache is best-effort
+            _cache_write(cache_path, key, value)
     if args.engine == "both":
         other = oracle.oracle_constant(w, v, u)
         if other != value:

@@ -78,7 +78,8 @@ class TraceNode:
 
 
 def _sort_key(w: WeylElement):
-    return (w.length, w.mat)
+    # any fixed order of the memo pair will do; the weight needs no matrix
+    return (w.length, w.x)
 
 
 def _least_ascent(w: WeylElement) -> int | None:

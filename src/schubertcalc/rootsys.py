@@ -7,9 +7,17 @@ coordinates by
 
     r_i(x) = x - (sum_j A[i][j] * x[j]) * alpha_i.
 
-Weyl group elements are stored as integer matrices acting on the
-simple-root basis (column ``j`` is the image of ``alpha_j``), which gives
-one uniform code path for every finite type.  Type A additionally gets a
+A Weyl group element ``w`` is stored as the weight ``x = w^-1(rho)`` in
+fundamental-weight coordinates (Casselman's representation), which gives
+one uniform code path for every finite type: ``w * r_i`` is
+``x - x_i * alpha_i`` with ``alpha_i`` written in weights (column ``i`` of
+``A``), ``i`` is a right descent exactly when ``x_i < 0``, and lengths move
+by one with each such step.  Nothing here needs the whole group: ``w_0``
+is the element with ``x = -rho`` and ``|W|`` comes from the root heights,
+so only :meth:`RootSystem.elements` enumerates.  The matrix of ``w`` on
+the simple-root basis (column ``j`` is ``w(alpha_j)``) is built on first
+use, for the action on roots and the canonical enumeration order (length,
+then matrix key).  Type A additionally gets a
 conversion layer to one-line permutation notation, with the conventions
 
     alpha_i = y_{i+1} - y_i,        w . y_i = y_{w(i)},
@@ -20,13 +28,15 @@ count.
 
 ``RootSystem`` and ``WeylElement`` are immutable after construction and
 all operations here are pure, so instances can be shared between threads;
-internal caches are filled idempotently (a race may duplicate work but
-never yields a torn value).
+internal caches and derived fields are filled idempotently (a race may
+duplicate work but never yields a torn value), and elements are interned
+with ``dict.setdefault`` so that each stays unique.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -86,14 +96,6 @@ class Root:
         return f"Root{self.coords}"
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    rng = range(n)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in rng) for j in rng) for i in rng
-    )
-
-
 def _mat_vec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     rng = range(len(v))
     return tuple(sum(m[i][j] * v[j] for j in rng) for i in rng)
@@ -104,25 +106,29 @@ def _identity_mat(n: int) -> Matrix:
 
 
 class WeylElement:
-    """A Weyl group element: an integer matrix on the simple-root basis.
+    """A Weyl group element, stored as the weight ``x = w^-1(rho)``.
 
-    Elements are interned per root system; construct them through
+    ``x`` is written in fundamental-weight coordinates; it determines ``w``
+    because ``rho`` is regular.  Right multiplication by ``r_i`` reflects
+    ``x``, ``i`` is a right descent exactly when ``x[i-1] < 0``, and each
+    such step moves the length by one.  The reduced word, the inverse and
+    the matrix on the simple-root basis are derived on first use.
+
+    Elements are interned per root system by ``x``; construct them through
     ``RootSystem`` / group operations, never directly.
     """
 
-    __slots__ = ("rs", "mat", "inv_mat", "length", "_hash", "_oneline")
+    __slots__ = ("rs", "x", "length", "_hash", "_next", "_word", "_inv", "_mat", "_oneline")
 
-    def __init__(self, rs: "RootSystem", mat: Matrix, inv_mat: Matrix):
+    def __init__(self, rs: "RootSystem", x: tuple[int, ...], length: int):
         self.rs = rs
-        self.mat = mat
-        self.inv_mat = inv_mat
-        neg = 0
-        for beta in rs.positive_roots:
-            img = _mat_vec(mat, beta.coords)
-            if img[_first_nonzero(img)] < 0:
-                neg += 1
-        self.length = neg
-        self._hash = hash(mat)
+        self.x = x
+        self.length = length
+        self._hash = hash(x)
+        self._next: list[WeylElement | None] = [None] * rs.rank  # w * r_{k+1}
+        self._word = None
+        self._inv = None
+        self._mat = None
         self._oneline = None
 
     def __hash__(self) -> int:
@@ -134,18 +140,68 @@ class WeylElement:
         return (
             isinstance(other, WeylElement)
             and self.rs is other.rs
-            and self.mat == other.mat
+            and self.x == other.x
         )
+
+    def _step(self, k: int) -> "WeylElement":
+        """``self * r_{k+1}``: ``x - x[k] * alpha_{k+1}``, with alpha in weight coordinates."""
+        got = self._next[k]
+        if got is None:
+            x = self.x
+            c = x[k]
+            got = self.rs._element(
+                tuple(a - c * b for a, b in zip(x, self.rs._alpha_weights[k])),
+                self.length + (1 if c > 0 else -1),
+            )
+            self._next[k] = got
+            got._next[k] = self
+        return got
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
             raise MixedRootSystemsError("cannot multiply elements of different root systems")
-        return self.rs._element(
-            _mat_mul(self.mat, other.mat), _mat_mul(other.inv_mat, self.inv_mat)
-        )
+        w = self
+        for i in other.reduced_word():
+            w = w._step(i - 1)
+        return w
 
     def inverse(self) -> "WeylElement":
-        return self.rs._element(self.inv_mat, self.mat)
+        inv = self._inv
+        if inv is None:
+            inv = self.rs.identity
+            for i in reversed(self.reduced_word()):
+                inv = inv._step(i - 1)
+            self._inv = inv
+            inv._inv = self
+        return inv
+
+    @property
+    def mat(self) -> Matrix:
+        """Integer matrix on the simple-root basis; column ``j`` is ``w(alpha_j)``.
+
+        Built once, from a neighbour ``w * r_i`` that already has its
+        matrix (else down the least right descents), by right
+        multiplication with the matrix of ``r_i``.
+        """
+        if self._mat is None:
+            chain = []
+            w = self
+            while w._mat is None:
+                k = next(
+                    (k for k, u in enumerate(w._next) if u is not None and u._mat is not None),
+                    None,
+                )
+                if k is None:
+                    k = _first_negative(w.x)
+                chain.append((w, k))
+                w = w._step(k)
+            m = w._mat
+            cartan = self.rs.cartan
+            for u, k in reversed(chain):
+                row_k = cartan[k]
+                m = tuple(tuple(e - a * row[k] for e, a in zip(row, row_k)) for row in m)
+                u._mat = m
+        return self._mat
 
     def act(self, root: Root) -> Root:
         return Root(_mat_vec(self.mat, root.coords))
@@ -159,15 +215,15 @@ class WeylElement:
     def right_ascent(self, i: int) -> bool:
         """True iff l(w * r_i) > l(w), for a 1-based simple index."""
         self.rs._check_index(i)
-        return all(row[i - 1] >= 0 for row in self.mat)
+        return self.x[i - 1] > 0
 
     def left_ascent(self, i: int) -> bool:
         """True iff l(r_i * w) > l(w)."""
         self.rs._check_index(i)
-        return all(row[i - 1] >= 0 for row in self.inv_mat)
+        return self.inverse().x[i - 1] > 0
 
     def right_descents(self) -> list[int]:
-        return [i for i in range(1, self.rs.rank + 1) if not self.right_ascent(i)]
+        return [k + 1 for k, c in enumerate(self.x) if c < 0]
 
     def reduced_word(self) -> tuple[int, ...]:
         """Canonical reduced word: greedily strip the least right descent.
@@ -176,14 +232,18 @@ class WeylElement:
         >>> W.longest_element().reduced_word()
         (1, 2, 1)
         """
-        letters = []
-        w = self
-        while w.length:
-            i = min(w.right_descents())
-            letters.append(i)
-            w = w * w.rs.simple_reflection(i)
-        letters.reverse()
-        return tuple(letters)
+        if self._word is None:
+            chain = []
+            w = self
+            while w._word is None:
+                k = _first_negative(w.x)
+                chain.append((w, k))
+                w = w._step(k)
+            word = w._word
+            for u, k in reversed(chain):
+                word = word + (k + 1,)
+                u._word = word
+        return self._word
 
     def one_line(self) -> tuple[int, ...]:
         """One-line permutation notation (type A only), values in 1..n."""
@@ -209,6 +269,14 @@ class WeylElement:
         return f"<{self.describe()}>"
 
 
+def _first_negative(x: tuple[int, ...]) -> int:
+    """The 0-based least right descent of the element with weight ``x``."""
+    for k, c in enumerate(x):
+        if c < 0:
+            return k
+    raise ValueError("the identity has no right descent")
+
+
 def _first_nonzero(v: tuple[int, ...]) -> int:
     for k, c in enumerate(v):
         if c:
@@ -232,12 +300,14 @@ class RootSystem:
         ]
         self._close_roots(max_roots)
         self._root_index = {r: k for k, r in enumerate(self.positive_roots)}
-        self._pool: dict[Matrix, WeylElement] = {}
-        self._simple_refl: list[WeylElement] = []
-        self.identity = self._element(_identity_mat(self.rank), _identity_mat(self.rank))
-        for i in range(1, self.rank + 1):
-            m = self._simple_reflection_mat(i)
-            self._simple_refl.append(self._element(m, m))
+        self._order = _weyl_order(self.positive_roots)
+        # alpha_k in fundamental-weight coordinates is column k of the Cartan matrix
+        self._alpha_weights = [tuple(row[k] for row in cartan) for k in range(self.rank)]
+        self._pool: dict[tuple[int, ...], WeylElement] = {}
+        self.identity = self._element((1,) * self.rank, 0)
+        self.identity._word = ()
+        self.identity._mat = _identity_mat(self.rank)
+        self._simple_refl = [self.identity._step(k) for k in range(self.rank)]
         self._refl_elements: dict[int, WeylElement] = {}
         self.caches: dict[str, dict] = {}
 
@@ -308,19 +378,13 @@ class RootSystem:
         self.positive_roots = [Root(c) for c in order]
         self._coroots = {Root(c): info[c][0] for c in order}
         self._root_parent = {Root(c): info[c][1] for c in order}
-        self._refl_mats: dict[Root, Matrix] = {}
-
-    def _simple_reflection_mat(self, i: int) -> Matrix:
-        cols = [self._reflect_coords(i, r.coords) for r in self.simple_roots]
-        return tuple(tuple(cols[j][r] for j in range(self.rank)) for r in range(self.rank))
 
     # -- elements ----------------------------------------------------------
 
-    def _element(self, mat: Matrix, inv_mat: Matrix) -> WeylElement:
-        w = self._pool.get(mat)
+    def _element(self, x: tuple[int, ...], length: int) -> WeylElement:
+        w = self._pool.get(x)
         if w is None:
-            w = WeylElement(self, mat, inv_mat)
-            self._pool[mat] = w
+            w = self._pool.setdefault(x, WeylElement(self, x, length))
         return w
 
     def _check_index(self, i: int):
@@ -335,31 +399,23 @@ class RootSystem:
         self._check_index(i)
         return self.simple_roots[i - 1]
 
-    def reflection_matrix(self, beta: Root) -> Matrix:
-        """Matrix of the reflection through the positive root ``beta``.
-
-        Built by conjugation along the closure tree, independently of the
-        coroot pairing (so the two can cross-check each other).
-        """
-        m = self._refl_mats.get(beta)
-        if m is None:
-            parent = self._root_parent[beta]
-            if parent is None:
-                m = self._simple_reflection_mat(_first_nonzero(beta.coords) + 1)
-            else:
-                coords, i = parent
-                ri = self._simple_reflection_mat(i)
-                m = _mat_mul(ri, _mat_mul(self.reflection_matrix(Root(coords)), ri))
-            self._refl_mats[beta] = m
-        return m
-
     def reflection(self, beta: Root) -> WeylElement:
-        """The reflection through a positive root, as a group element."""
+        """The reflection through a positive root, as a group element.
+
+        Built by conjugation along the closure tree (if ``beta = r_i(beta')``
+        then ``r_beta = r_i r_beta' r_i``), independently of the coroot
+        pairing, so the two can cross-check each other.
+        """
         idx = self._root_index[beta]
         w = self._refl_elements.get(idx)
         if w is None:
-            m = self.reflection_matrix(beta)
-            w = self._element(m, m)
+            parent = self._root_parent[beta]
+            if parent is None:
+                w = self._simple_refl[_first_nonzero(beta.coords)]
+            else:
+                coords, i = parent
+                r = self._simple_refl[i - 1]
+                w = r * self.reflection(Root(coords)) * r
             self._refl_elements[idx] = w
         return w
 
@@ -370,25 +426,21 @@ class RootSystem:
         """All group elements, by length then matrix key; identity first, w_0 last."""
         cached = self.caches.get("elements")
         if cached is None:
+            if self._order > MAX_GROUP:
+                raise GroupTooLargeError(
+                    f"Weyl group has {self._order} > {MAX_GROUP} elements"
+                )
             out = [self.identity]
-            seen = {self.identity}
             level = [self.identity]
             while level:
-                nxt = set()
-                for w in level:
-                    for i in range(1, self.rank + 1):
-                        if w.right_ascent(i):
-                            nxt.add(w * self.simple_reflection(i))
-                level = sorted(nxt - seen, key=lambda w: w.mat)
-                seen.update(level)
+                # ascents of one length all land in the next; a dict keeps them once
+                nxt = {w._step(k): None for w in level for k, c in enumerate(w.x) if c > 0}
+                level = sorted(nxt, key=lambda w: w.mat)
                 out.extend(level)
-                if len(out) > MAX_GROUP:
-                    raise GroupTooLargeError(
-                        f"Weyl group has more than {MAX_GROUP} elements"
-                    )
-            cached = out
-            self.caches["elements"] = cached
+            # the index goes first: a reader that finds "elements" finds the index too
             self.caches["element_index"] = {w: k for k, w in enumerate(out)}
+            self.caches["elements"] = out
+            cached = out
         return cached
 
     def element_index(self, w: WeylElement) -> int:
@@ -396,10 +448,12 @@ class RootSystem:
         return self.caches["element_index"][w]
 
     def order(self) -> int:
-        return len(self.elements())
+        """``|W|``, from the positive roots alone (see :func:`_weyl_order`)."""
+        return self._order
 
     def longest_element(self) -> WeylElement:
-        return self.elements()[-1]
+        """``w_0``, found without enumerating: ``w_0^-1(rho) = -rho``."""
+        return self._element((-1,) * self.rank, len(self.positive_roots))
 
     # -- type A ------------------------------------------------------------
 
@@ -417,6 +471,20 @@ class RootSystem:
     def __repr__(self) -> str:
         label = self.type_label or f"rank {self.rank}"
         return f"RootSystem({label}, positive_roots={len(self.positive_roots)})"
+
+
+def _weyl_order(positive_roots: list[Root]) -> int:
+    """``|W| = prod (m_i + 1)`` over the exponents ``m_i``.
+
+    The exponents form the partition dual to the positive-root height
+    counts: the number of exponents ``>= k`` is the number of positive
+    roots of height ``k`` (Kostant).
+    """
+    per_height = Counter(r.height for r in positive_roots)
+    order = 1
+    for k, n in per_height.items():
+        order *= (k + 1) ** (n - per_height[k + 1])
+    return order
 
 
 # -- named Cartan matrices --------------------------------------------------
@@ -580,6 +648,9 @@ def covers(w: WeylElement) -> list[tuple[WeylElement, Root]]:
     if got is None:
         got = []
         for beta in rs.positive_roots:
+            # l(w r_beta) > l(w) iff w(beta) > 0 iff <w^-1(rho), beta_check> > 0
+            if sum(d * c for d, c in zip(rs._coroots[beta], w.x)) <= 0:
+                continue
             wp = w * rs.reflection(beta)
             if wp.length == w.length + 1:
                 got.append((wp, beta))
@@ -647,8 +718,8 @@ def coeff_pairing(rs: RootSystem, alpha: Root, beta: Root) -> int:
         raise ValueError(f"{alpha!r} is not a simple root")
     if beta not in rs._root_index:
         raise ValueError(f"{beta!r} is not a positive root of this system")
-    refl = rs.reflection_matrix(beta)
-    diff = tuple(a - b for a, b in zip(alpha.coords, _mat_vec(refl, alpha.coords)))
+    image = rs.reflection(beta).act_coords(alpha.coords)
+    diff = tuple(a - b for a, b in zip(alpha.coords, image))
     k = next(i for i, c in enumerate(beta.coords) if c)
     q, rem = divmod(diff[k], beta.coords[k])
     if rem or any(d != q * b for d, b in zip(diff, beta.coords)):

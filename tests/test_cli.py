@@ -215,3 +215,68 @@ def test_constant_result_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.recurrence, "structure_constant", explode)
     code, out, _ = run(capsys, "constant", "--group", "A2", "--w", "231", "--v", "213", "--u", "231")
     assert code == 0 and out.strip() == "y2 - y1"
+
+
+def _cache_entry(tmp_path):
+    (entry,) = tmp_path.glob("constant-*.json")
+    return entry
+
+
+def test_truncated_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SCHUBERTCALC_CACHE_DIR", str(tmp_path))
+    argv = ("constant", "--group", "A2", "--w", "231", "--v", "213", "--u", "231", "--basis", "y")
+    assert run(capsys, *argv)[:2] == (0, "y2 - y1\n")
+    entry = _cache_entry(tmp_path)
+    intact = entry.read_text()
+    entry.write_text(intact[: len(intact) // 2])
+    assert run(capsys, *argv)[:2] == (0, "y2 - y1\n")
+    assert entry.read_text() == intact  # recomputed and written again
+    assert list(tmp_path.iterdir()) == [entry]  # no temporary file left behind
+
+
+def test_edited_cache_entry_is_not_served(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SCHUBERTCALC_CACHE_DIR", str(tmp_path))
+    argv = ("constant", "--group", "A2", "--w", "231", "--v", "213", "--u", "231", "--basis", "y")
+    assert run(capsys, *argv)[:2] == (0, "y2 - y1\n")
+    entry = _cache_entry(tmp_path)
+    data = json.loads(entry.read_text())
+    data["value"] = [{"coeff": 7, "exp": [0, 0]}]
+    entry.write_text(json.dumps(data))
+    assert run(capsys, *argv)[:2] == (0, "y2 - y1\n")
+    # an entry of another key or format is a miss too
+    for field, bad in (("key", "[]"), ("format", 1)):
+        data = json.loads(entry.read_text())
+        data[field] = bad
+        entry.write_text(json.dumps(data))
+        assert run(capsys, *argv)[:2] == (0, "y2 - y1\n")
+        assert json.loads(entry.read_text())[field] != bad
+
+
+def test_constant_command_does_not_enumerate(capsys, monkeypatch):
+    import schubertcalc.cli as cli
+
+    groups, real_load = [], cli.load_group
+
+    def load(source):
+        groups.append(real_load(source))
+        return groups[-1]
+
+    monkeypatch.setattr(cli, "load_group", load)
+    code, out, _ = run(capsys, "constant", "--group", "A5", "--w", "532164", "--v", "132546", "--u", "642153")
+    assert code == 0 and out.strip() == "2"
+    code, out, _ = run(capsys, "info", "--group", "A8")
+    assert code == 0 and "362880" in out
+    assert len(groups) == 2 and not any("elements" in rs.caches for rs in groups)
+
+
+def test_info_on_large_groups(tmp_path, capsys):
+    from conftest import e8_cartan
+
+    code, out, _ = run(capsys, "info", "--group", "B8", "--output", "json")
+    data = json.loads(out)
+    assert code == 0 and data["order"] == 10321920 and data["positive_roots"] == 64
+    path = tmp_path / "e8.json"
+    path.write_text(json.dumps({"cartan": e8_cartan(), "label": "E8"}))
+    code, out, _ = run(capsys, "info", "--group", str(path), "--output", "json")
+    data = json.loads(out)
+    assert code == 0 and data["order"] == 696729600 and data["w0"].count("s") == 120

@@ -17,13 +17,15 @@ from schubertcalc import (
     product_expansion,
     render,
     replay_trace,
+    restrict,
     schubert_class,
     structure_constant,
     trace_constant,
     triple_constant,
+    word_to_element,
 )
 
-from conftest import perm
+from conftest import e8_cartan, perm
 
 
 # -- worked values ---------------------------------------------------------------
@@ -327,3 +329,58 @@ def test_ordinary_recurrence_check_exhaustive(s3, s4):
                     assert ordinary_recurrence_check(w, v, u, r_idx)
                     count += 1
         assert count > 0
+
+
+# -- single constants without enumerating the group ------------------------------
+
+
+def test_constant_path_does_not_enumerate():
+    b4 = named("B4")
+    w, v = word_to_element(b4, [4, 3, 4, 2, 1]), word_to_element(b4, [3, 4])
+    assert not structure_constant(w, v, w).is_zero()
+    a4 = named("A4")
+    w, v, u = perm(a4, "21354"), perm(a4, "13245"), perm(a4, "23154")
+    assert triple_constant(w, v, a4.longest_element() * u) == 1
+    assert "elements" not in b4.caches and "elements" not in a4.caches
+
+
+def _greatest_descent_word(w):
+    """A reduced word of ``w`` that strips the greatest right descent each time."""
+    word = []
+    while w.length:
+        i = max(w.right_descents())
+        word.append(i)
+        w = w * w.rs.simple_reflection(i)
+    return tuple(reversed(word))
+
+
+@pytest.mark.parametrize(
+    "label,w_word,v_word",
+    [
+        ("A8", [1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7, 1, 2, 3], [2, 5, 7]),
+        ("B8", [8, 7, 8, 6, 7, 8, 5, 6, 7, 8, 4, 5, 6, 7, 8, 3, 2, 1], [8, 6, 4]),
+        ("E8", [1, 3, 4, 2, 5, 4, 3, 1, 6, 5, 4, 2, 7, 6, 5, 4, 3, 8, 7, 6], [4, 5, 6]),
+    ],
+)
+def test_constants_in_large_groups(label, w_word, v_word, tmp_path):
+    import json
+    import time
+
+    from schubertcalc.cli import load_group
+
+    t0 = time.perf_counter()
+    if label == "E8":
+        path = tmp_path / "e8.json"
+        path.write_text(json.dumps({"cartan": e8_cartan(), "label": "E8"}))
+        rs = load_group(str(path))
+    else:
+        rs = named(label)
+    w, v = word_to_element(rs, w_word), word_to_element(rs, v_word)
+    assert w.length == len(w_word) and v.length == len(v_word)
+    c = structure_constant(w, v, w)
+    assert time.perf_counter() - t0 < 10.0
+    assert "elements" not in rs.caches
+    # c_{w,v}^w = S_v|_w, here by a reduced word other than the canonical one
+    word = _greatest_descent_word(w)
+    assert word != w.reduced_word()
+    assert not c.is_zero() and c == restrict(v, w, word=word)

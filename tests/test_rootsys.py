@@ -27,7 +27,7 @@ from schubertcalc import (
     word_to_element,
 )
 
-from conftest import perm
+from conftest import e8_cartan, perm
 
 
 # -- independent oracles -------------------------------------------------------
@@ -351,3 +351,139 @@ def test_mixed_root_systems_are_rejected(s3, b2):
         s3.simple_reflection(1) * b2.simple_reflection(1)
     with pytest.raises(MixedRootSystemsError):
         bruhat_leq(s3.identity, b2.identity)
+
+
+def _simple_reflection_matrix(cartan, i):
+    """Matrix of r_i on the simple-root basis, straight from the reflection formula."""
+    n = len(cartan)
+    cols = []
+    for j in range(n):
+        col = [int(r == j) for r in range(n)]
+        col[i - 1] -= cartan[i - 1][j]
+        cols.append(col)
+    return tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
+
+
+def _matrix_of(rs, word):
+    n = rs.rank
+    m = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for i in word:
+        s = _simple_reflection_matrix(rs.cartan, i)
+        m = tuple(
+            tuple(sum(m[r][k] * s[k][c] for k in range(n)) for c in range(n)) for r in range(n)
+        )
+    return m
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "C3"])
+def test_canonical_enumeration_order(label):
+    # the order (length, then matrix key) fixes product JSON and class dumps
+    rs = named(label)
+    elements = rs.elements()
+    key = {w: (w.length, _matrix_of(rs, w.reduced_word())) for w in elements}
+    assert len(set(key.values())) == len(elements) == rs.order()
+    assert elements == sorted(elements, key=key.__getitem__)
+
+
+def _known_order(label):
+    import math
+
+    family, n = label[0], int(label[1:])
+    return {
+        "A": math.factorial(n + 1),
+        "B": 2**n * math.factorial(n),
+        "C": 2**n * math.factorial(n),
+        "D": 2 ** (n - 1) * math.factorial(n),
+        "G": 12,
+        "F": 1152,
+    }[family]
+
+
+NAMED_LABELS = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["G2", "F4"]
+)
+
+
+@pytest.mark.parametrize("label", NAMED_LABELS)
+def test_order_from_root_heights(label):
+    import schubertcalc.rootsys as rootsys
+
+    rs = named(label)
+    want = _known_order(label)
+    assert rs.order() == want
+    if want <= rootsys.MAX_GROUP:
+        assert len(rs.elements()) == want
+    else:
+        assert "elements" not in rs.caches
+        with pytest.raises(GroupTooLargeError):
+            rs.elements()
+
+
+def test_order_of_e8_from_cartan_data():
+    rs = build(e8_cartan())
+    assert len(rs.positive_roots) == 120
+    assert rs.order() == 696_729_600
+    assert rs.longest_element().length == 120
+    assert "elements" not in rs.caches
+
+
+def test_longest_element_without_enumeration():
+    for label in ("A8", "B8", "D8", "F4"):
+        rs = named(label)
+        w0 = rs.longest_element()
+        assert w0.length == len(rs.positive_roots)
+        assert all(not w0.right_ascent(i) for i in range(1, rs.rank + 1))
+        assert word_to_element(rs, w0.reduced_word()) is w0
+        assert w0.inverse() is w0
+        assert "elements" not in rs.caches
+
+
+def test_elements_is_safe_under_concurrent_first_use():
+    # readers ask for an index as soon as the enumeration shows up, with
+    # thread switches forced often enough to land between the cache tables
+    import sys
+    import threading
+
+    rs = named("D5")
+    w = word_to_element(rs, [1, 2, 3])
+    done = threading.Event()
+    got = []
+
+    def reader():
+        while not done.is_set():
+            if "elements" in rs.caches:
+                try:
+                    got.append(rs.element_index(w))
+                except Exception as exc:
+                    got.append(exc)
+                return
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        for t in readers:
+            t.start()
+        rs.elements()
+    finally:
+        done.set()
+        sys.setswitchinterval(old)
+    for t in readers:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert got == [rs.elements().index(w)] * len(got)
+
+
+def test_products_inverses_and_matrices_agree(b2, g2):
+    # the weight representation against matrices built along reduced words
+    for rs in (b2, g2, named("B3")):
+        elements = rs.elements()
+        for w in elements:
+            assert w.mat == _matrix_of(rs, w.reduced_word())
+            assert (w * w.inverse()).is_identity()
+            assert w.inverse().mat == _matrix_of(rs, w.reduced_word()[::-1])
+            for v in elements[:: max(1, len(elements) // 12)]:
+                assert (w * v).mat == _matrix_of(rs, w.reduced_word() + v.reduced_word())
