@@ -28,7 +28,7 @@ All functions are pure; per-group memo tables are filled idempotently.
 from __future__ import annotations
 
 from .polyring import Polynomial
-from .rootsys import Root, RootSystem, WeylElement, bruhat_leq
+from .rootsys import Root, WeylElement, bruhat_leq, word_to_element
 from .gkm import GkmClass
 
 __all__ = [
@@ -41,17 +41,16 @@ __all__ = [
 ]
 
 
-def _billey_pass(w: WeylElement, keep=None) -> dict[WeylElement, Polynomial]:
-    """One DP pass over the canonical reduced word of ``w``.
+def _billey_pass(w: WeylElement, keep=None, word=None) -> dict[WeylElement, Polynomial]:
+    """One DP pass over a reduced word of ``w``, by default its canonical one.
 
     Returns the map ``v -> S_v|_w`` over all partial products reached;
     ``keep`` optionally prunes states (a predicate on elements).
     """
     rs = w.rs
-    rank = rs.rank
-    acc = {rs.identity: Polynomial.one(rank)}
+    acc = {rs.identity: Polynomial.one(rs.rank)}
     prefix = rs.identity
-    for i in w.reduced_word():
+    for i in w.reduced_word() if word is None else word:
         r = rs.simple_reflection(i)
         factor = prefix.act(rs.simple_root(i)).coords
         nxt = dict(acc)
@@ -76,49 +75,28 @@ def restrict(v: WeylElement, w: WeylElement, word=None) -> Polynomial:
     rs = v.rs
     if w.rs is not rs:
         raise ValueError("elements of different root systems")
+    zero = Polynomial.zero(rs.rank)
     if word is not None:
-        return _restrict_with_word(rs, v, w, word)
+        word = tuple(int(i) for i in word)
+        target = word_to_element(rs, word)
+        if len(word) != target.length:
+            raise ValueError("word is not reduced")
+        if target != w:
+            raise ValueError("word does not multiply to the requested element")
+        return _billey_pass(w, keep=lambda q: bruhat_leq(q, v), word=word).get(v, zero)
     if not bruhat_leq(v, w):
-        return Polynomial.zero(rs.rank)
+        return zero
     cache = rs.cache("restrict")
     key = (v, w)
     got = cache.get(key)
     if got is None:
         table = rs.cache("restrict_all").get(w)
         if table is not None:
-            got = table.get(v, Polynomial.zero(rs.rank))
+            got = table.get(v, zero)
         else:
-            acc = _billey_pass(w, keep=lambda q: bruhat_leq(q, v))
-            got = acc.get(v, Polynomial.zero(rs.rank))
+            got = _billey_pass(w, keep=lambda q: bruhat_leq(q, v)).get(v, zero)
         cache[key] = got
     return got
-
-
-def _restrict_with_word(rs: RootSystem, v: WeylElement, w: WeylElement, word) -> Polynomial:
-    rank = rs.rank
-    word = tuple(int(i) for i in word)
-    target = rs.identity
-    for i in word:
-        target = target * rs.simple_reflection(i)
-    if len(word) != target.length:
-        raise ValueError("word is not reduced")
-    if target != w:
-        raise ValueError("word does not multiply to the requested element")
-    acc = {rs.identity: Polynomial.one(rank)}
-    prefix = rs.identity
-    for i in word:
-        r = rs.simple_reflection(i)
-        factor = prefix.act(rs.simple_root(i)).coords
-        nxt = dict(acc)
-        for p, poly in acc.items():
-            q = p * r
-            if q.length == p.length + 1 and bruhat_leq(q, v):
-                contrib = poly.times_linear(factor)
-                s = nxt.get(q)
-                nxt[q] = contrib if s is None else s + contrib
-        acc = nxt
-        prefix = prefix * r
-    return acc.get(v, Polynomial.zero(rank))
 
 
 def restrict_all(w: WeylElement) -> dict[WeylElement, Polynomial]:

@@ -18,6 +18,7 @@ mismatches, 4 exact-division failures or violated internal invariants.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -111,7 +112,9 @@ def _expansion_json(exp: SchubertExpansion) -> list[dict]:
     ]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing never changes it)."""
     ap = argparse.ArgumentParser(
         prog="schubertcalc",
         description="Equivariant Schubert structure constants for finite Weyl groups",

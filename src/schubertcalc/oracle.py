@@ -80,8 +80,9 @@ def expand_in_schubert(p: GkmClass) -> ExpansionReport:
         for beta in bottom_factors(w):
             coeff = divide_exact(coeff, beta.coords)
         coeffs[w] = coeff
-        s = schubert_class(w)
-        residual = [q - coeff * sv for q, sv in zip(residual, s.values)]
+        for j, sv in enumerate(schubert_class(w).values):
+            if sv:  # S_w is supported on {v >= w}
+                residual[j] = residual[j] - coeff * sv
     residual_zero = all(q.is_zero() for q in residual)
     if not residual_zero:
         raise NonzeroResidualError("nonzero residual after full elimination")
@@ -192,7 +193,7 @@ def verify_sweep(
                 report.max_coeff = max(report.max_coeff, rec.max_abs_coeff())
                 where = {"w": w.describe(), "v": v.describe(), "u": u.describe()}
                 if u.length == w.length + v.length:
-                    if rec.homogeneous_degree() != 0 or next(iter(rec.terms.values())) < 0:
+                    if rec.homogeneous_degree() != 0 or rec.constant_term() < 0:
                         report.ordinary_violations.append(where | {"value": render(rec)})
                 if any(c < 0 for c in rec.terms.values()):
                     report.coeff_violations.append(where | {"value": render(rec)})

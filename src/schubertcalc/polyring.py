@@ -1,9 +1,25 @@
 """Exact sparse integer polynomials in the simple-root variables.
 
 This is the model of the base ring of the theory: polynomials over the
-integers in variables ``a1..aN`` (the simple roots), stored as a sparse
-map from exponent vectors to nonzero coefficients.  Coefficients are
-Python ints, so overflow is impossible by construction.
+integers in variables ``a1..aN`` (the simple roots).  Coefficients are
+Python ints, so coefficient overflow is impossible by construction.
+
+Storage is a dict from *packed monomials* to nonzero coefficients.  A
+packed monomial is one int with a 17-bit field per variable: the exponent
+of ``a_{k+1}`` sits in bits ``17k .. 17k+15`` (so exponents run 0..65535)
+and bit ``17k+16`` is that field's guard bit, clear in every stored key.
+Multiplying monomials is then one integer addition: two fields below
+2**16 sum to less than 2**17, so no field ever carries into the next one.
+Every operation that adds keys checks its result for a set guard bit and
+raises ``OverflowError`` rather than store a wrapped monomial; packing
+rejects a negative or too large exponent with ``ValueError``.  The engines
+never come near the limit: a restriction or a structure constant has
+degree at most |Delta_+| (120 in E8).  Packed keys compare like the
+reversed exponent tuples, so the display order is (degree, key).
+
+``Polynomial.terms`` is a read-only mapping from exponent tuples to
+coefficients, unpacked on read, and ``Polynomial(rank, {tuple: int})``
+packs; code in this package works on the packed keys.
 
 Each variable carries cohomological degree 2; internally we work with the
 ordinary total degree ("combinatorial degree").
@@ -16,6 +32,9 @@ Polynomials are immutable values and every operation is pure.
 from __future__ import annotations
 
 import re
+from collections.abc import ItemsView, Mapping
+from functools import cache, reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import NotDivisibleError
@@ -36,78 +55,166 @@ __all__ = [
 # `Root.coords` from rootsys is accepted anywhere a LinearForm is.
 LinearForm = tuple[int, ...]
 
+# -- packed monomials ----------------------------------------------------------
 
-def _term_sort_key(exp: tuple[int, ...]):
-    # graded order, highest variable index dominating inside a degree
-    return (sum(exp), tuple(reversed(exp)))
+_W = 17  # bits per variable: 16 exponent bits and one guard bit
+_MAX_EXP = (1 << (_W - 1)) - 1
+_FIELD = (1 << _W) - 1
+
+
+@cache
+def _guard(rank: int) -> int:
+    """The guard bits of the first ``rank`` fields."""
+    return sum(1 << (_W * k + _W - 1) for k in range(rank))
+
+
+def _pack(exp, rank: int) -> int:
+    if len(exp) != rank:
+        raise ValueError(f"exponent vector {tuple(exp)} does not have length {rank}")
+    key = 0
+    for k, x in enumerate(exp):
+        if not 0 <= x <= _MAX_EXP:
+            raise ValueError(f"exponent {x} is outside the range 0..{_MAX_EXP}")
+        key |= x << (_W * k)
+    return key
+
+
+def _unpack(key: int, rank: int) -> tuple[int, ...]:
+    if key >> (_W * rank) or key & _guard(rank):
+        raise OverflowError(f"packed monomial {key:#x} is out of range for rank {rank}")
+    return tuple((key >> (_W * k)) & _FIELD for k in range(rank))
+
+
+def _degree(key: int) -> int:
+    d = 0
+    while key:
+        d += key & _FIELD
+        key >>= _W
+    return d
+
+
+def _make(rank: int, terms: dict[int, int]) -> "Polynomial":
+    """A polynomial over packed terms, which must have nonzero coefficients."""
+    p = object.__new__(Polynomial)
+    p.rank = rank
+    p._t = terms
+    p._hash = None
+    return p
+
+
+def _checked(rank: int, terms: dict[int, int]) -> "Polynomial":
+    """``_make``, after checking that no exponent left its field."""
+    if terms and reduce(or_, terms) & _guard(rank):
+        raise OverflowError(f"an exponent exceeds {_MAX_EXP}")
+    return _make(rank, terms)
+
+
+def _linear_units(coords, rank: int) -> list[tuple[int, int]]:
+    """A linear form as (packed variable, coefficient) pairs, zeros left out."""
+    coords = _as_coords(coords)
+    if len(coords) != rank:
+        raise ValueError("linear form rank mismatch")
+    return [(1 << (_W * k), f) for k, f in enumerate(coords) if f]
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms, keyed by exponent tuples."""
+
+    __slots__ = ("_t", "_rank")
+
+    def __init__(self, terms: dict[int, int], rank: int):
+        self._t = terms
+        self._rank = rank
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __iter__(self):
+        rank = self._rank
+        return (_unpack(k, rank) for k in self._t)
+
+    def __getitem__(self, exp) -> int:
+        try:
+            return self._t[_pack(exp, self._rank)]
+        except (ValueError, TypeError):
+            raise KeyError(exp) from None
+
+    def values(self):
+        return self._t.values()
+
+    def items(self):
+        return _TermItems(self)
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        rank = self._mapping._rank
+        for k, c in self._mapping._t.items():
+            yield _unpack(k, rank), c
 
 
 class Polynomial:
     """An immutable sparse polynomial with integer coefficients."""
 
-    __slots__ = ("rank", "terms", "_hash")
+    __slots__ = ("rank", "_t", "_hash")
 
-    def __init__(self, rank: int, terms: dict[tuple[int, ...], int] | None = None):
+    def __init__(self, rank: int, terms: Mapping[tuple[int, ...], int] | None = None):
         self.rank = rank
-        if terms:
-            self.terms = {e: c for e, c in terms.items() if c}
-        else:
-            self.terms = {}
+        self._t = {_pack(e, rank): c for e, c in terms.items() if c} if terms else {}
         self._hash = None
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        """The terms as a read-only mapping from exponent tuples to coefficients."""
+        return _Terms(self._t, self.rank)
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, rank: int) -> "Polynomial":
-        return cls(rank)
+        return _make(rank, {})
 
     @classmethod
     def one(cls, rank: int) -> "Polynomial":
-        return cls.integer(rank, 1)
+        return _make(rank, {0: 1})
 
     @classmethod
     def integer(cls, rank: int, c: int) -> "Polynomial":
-        return cls(rank, {(0,) * rank: int(c)})
+        c = int(c)
+        return _make(rank, {0: c} if c else {})
 
     @classmethod
     def variable(cls, rank: int, i: int) -> "Polynomial":
         """The simple-root variable ``a_i`` (1-based)."""
         if not 1 <= i <= rank:
             raise IndexError(f"variable index {i} out of range 1..{rank}")
-        exp = tuple(int(k == i - 1) for k in range(rank))
-        return cls(rank, {exp: 1})
+        return _make(rank, {1 << (_W * (i - 1)): 1})
 
     @classmethod
     def linear(cls, coords: Sequence[int] | "LinearForm") -> "Polynomial":
         coords = _as_coords(coords)
-        rank = len(coords)
-        out: dict[tuple[int, ...], int] = {}
-        for k, c in enumerate(coords):
-            if c:
-                exp = tuple(int(j == k) for j in range(rank))
-                out[exp] = int(c)
-        return cls(rank, out)
+        return _make(len(coords), dict(_linear_units(coords, len(coords))))
 
     # -- basic protocol --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._t)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self.terms == Polynomial.integer(self.rank, other).terms
+            return self._t == ({0: other} if other else {})
         return (
             isinstance(other, Polynomial)
             and self.rank == other.rank
-            and self.terms == other.terms
+            and self._t == other._t
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.rank, frozenset(self.terms.items())))
+            self._hash = hash((self.rank, frozenset(self._t.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -128,25 +235,34 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+        out = dict(self._t)
+        get = out.get
+        for e, c in other._t.items():
+            s = get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return Polynomial(self.rank, out)
+                del out[e]
+        return _make(self.rank, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.rank, {e: -c for e, c in self.terms.items()})
+        return _make(self.rank, {e: -c for e, c in self._t.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self._t)
+        get = out.get
+        for e, c in other._t.items():
+            s = get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _make(self.rank, out)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
@@ -155,16 +271,22 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Polynomial(self.rank, out)
+        a, b = self._t, other._t
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return _make(self.rank, {})
+        if len(b) == 1:
+            ((e2, c2),) = b.items()
+            return _checked(self.rank, {e1 + e2: c1 * c2 for e1, c1 in a.items()})
+        out: dict[int, int] = {}
+        get = out.get
+        b = list(b.items())
+        for e1, c1 in a.items():
+            for e2, c2 in b:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return _checked(self.rank, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -177,31 +299,27 @@ class Polynomial:
         return out
 
     def scale(self, c: int) -> "Polynomial":
-        return Polynomial(self.rank, {e: c * v for e, v in self.terms.items()}) if c else Polynomial(self.rank)
+        return _make(self.rank, {e: c * v for e, v in self._t.items()} if c else {})
 
     def times_linear(self, coords: Sequence[int]) -> "Polynomial":
         """Multiply by a linear form; cheaper than generic ``*``."""
-        coords = _as_coords(coords)
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            for k, f in enumerate(coords):
-                if f:
-                    e2 = e[:k] + (e[k] + 1,) + e[k + 1:]
-                    s = out.get(e2, 0) + c * f
-                    if s:
-                        out[e2] = s
-                    else:
-                        del out[e2]
-        return Polynomial(self.rank, out)
+        units = _linear_units(coords, self.rank)
+        out: dict[int, int] = {}
+        get = out.get
+        for e, c in self._t.items():
+            for u, f in units:
+                e2 = e + u
+                out[e2] = get(e2, 0) + c * f
+        return _checked(self.rank, {e: c for e, c in out.items() if c})
 
     # -- degrees ----------------------------------------------------------
 
     def monomial_degrees(self) -> set[int]:
-        return {sum(e) for e in self.terms}
+        return set(map(_degree, self._t))
 
     def total_degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(_degree, self._t), default=-1)
 
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None if inhomogeneous/zero."""
@@ -210,11 +328,17 @@ class Polynomial:
             return None
         return degs.pop()
 
+    def constant_term(self) -> int:
+        """The coefficient of the monomial 1."""
+        return self._t.get(0, 0)
+
     def max_abs_coeff(self) -> int:
-        return max((abs(c) for c in self.terms.values()), default=0)
+        return max(map(abs, self._t.values()), default=0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.terms.items(), key=lambda t: _term_sort_key(t[0]), reverse=True)
+        """Terms by descending degree, the highest variable deciding ties."""
+        keys = sorted(self._t, key=lambda e: (_degree(e), e), reverse=True)
+        return [(_unpack(e, self.rank), self._t[e]) for e in keys]
 
 
 def _as_coords(coords) -> tuple[int, ...]:
@@ -237,20 +361,16 @@ def act(w, p: Polynomial) -> Polynomial:
     if len(mat) != rank:
         raise ValueError("rank mismatch between element and polynomial")
     images = [tuple(mat[r][j] for r in range(rank)) for j in range(rank)]
+    exps = [_unpack(e, rank) for e in p._t]
     # power tables per variable, up to the max exponent appearing
-    max_exp = [0] * rank
-    for e in p.terms:
-        for j, x in enumerate(e):
-            if x > max_exp[j]:
-                max_exp[j] = x
     powers: list[list[Polynomial]] = []
     for j in range(rank):
         row = [Polynomial.one(rank)]
-        for _ in range(max_exp[j]):
+        for _ in range(max((e[j] for e in exps), default=0)):
             row.append(row[-1].times_linear(images[j]))
         powers.append(row)
     out = Polynomial.zero(rank)
-    for e, c in p.terms.items():
+    for e, c in zip(exps, p._t.values()):
         term = Polynomial.integer(rank, c)
         for j, x in enumerate(e):
             if x:
@@ -268,35 +388,41 @@ def divide_exact(p: Polynomial, f: Sequence[int] | LinearForm) -> Polynomial:
     Raises :class:`NotDivisibleError` when no such integer polynomial
     exists; in class arithmetic that signals a violated GKM condition
     upstream and must abort the computation.
+
+    With ``a_k`` the first variable of ``f``, the terms are grouped into
+    layers by their exponent of ``a_k`` and the layers are cleared in one
+    descending pass: each term of layer ``d`` gives a quotient term, and
+    subtracting that term times ``f`` changes only layer ``d - 1``.
     """
-    coords = _as_coords(f)
-    if not any(coords):
+    units = _linear_units(f, p.rank)
+    if not units:
         raise ZeroDivisionError("division by the zero linear form")
-    k = next(i for i, c in enumerate(coords) if c)
-    fk = coords[k]
-    quotient: dict[tuple[int, ...], int] = {}
-    rem = dict(p.terms)
-    while rem:
-        d = max(e[k] for e in rem)
-        if d == 0:
-            raise NotDivisibleError("nonzero remainder in exact division")
-        layer = [(e, c) for e, c in rem.items() if e[k] == d]
-        for e, c in layer:
+    (uk, fk), others = units[0], units[1:]
+    shift = uk.bit_length() - 1
+    layers: dict[int, dict[int, int]] = {}
+    for e, c in p._t.items():
+        layers.setdefault((e >> shift) & _FIELD, {})[e] = c
+    quotient: dict[int, int] = {}
+    for d in range(max(layers, default=0), 0, -1):
+        below = layers.setdefault(d - 1, {})
+        get = below.get
+        for e, c in layers.pop(d, {}).items():
             q, r = divmod(c, fk)
             if r:
                 raise NotDivisibleError("coefficient not divisible in exact division")
-            eq = e[:k] + (d - 1,) + e[k + 1:]
-            quotient[eq] = quotient.get(eq, 0) + q
-            # subtract q * x^eq * f from the remainder
-            for j, fc in enumerate(coords):
-                if fc:
-                    e2 = eq[:j] + (eq[j] + 1,) + eq[j + 1:]
-                    s = rem.get(e2, 0) - q * fc
-                    if s:
-                        rem[e2] = s
-                    else:
-                        del rem[e2]
-    return Polynomial(p.rank, quotient)
+            eq = e - uk
+            quotient[eq] = q
+            # subtract q * x^eq * f; its a_k term cancels this term
+            for u, fc in others:
+                e2 = eq + u
+                s = get(e2, 0) - q * fc
+                if s:
+                    below[e2] = s
+                else:
+                    del below[e2]
+    if layers.get(0):
+        raise NotDivisibleError("nonzero remainder in exact division")
+    return _checked(p.rank, quotient)
 
 
 def is_divisible(p: Polynomial, f: Sequence[int] | LinearForm) -> bool:
@@ -311,45 +437,30 @@ def is_divisible(p: Polynomial, f: Sequence[int] | LinearForm) -> bool:
 # -- rendering / parsing ------------------------------------------------------
 
 
-def _to_y_terms(p: Polynomial) -> dict[tuple[int, ...], int]:
-    """Rewrite in the y-coordinates (n = rank + 1 variables), a_i = y_{i+1} - y_i."""
-    n = p.rank + 1
-    images = []
-    for i in range(p.rank):
-        v = [0] * n
-        v[i + 1] = 1
-        v[i] = -1
-        images.append(tuple(v))
-    out: dict[tuple[int, ...], int] = {}
+def _substitute(p: Polynomial, images, rank: int) -> Polynomial:
+    """``p`` with variable ``j`` replaced by the linear form ``images[j]``."""
+    out = Polynomial.zero(rank)
     for e, c in p.terms.items():
-        acc = {(0,) * n: c}
+        term = Polynomial.integer(rank, c)
         for j, x in enumerate(e):
             for _ in range(x):
-                nxt: dict[tuple[int, ...], int] = {}
-                for ee, cc in acc.items():
-                    for k, f in enumerate(images[j]):
-                        if f:
-                            e2 = ee[:k] + (ee[k] + 1,) + ee[k + 1:]
-                            s = nxt.get(e2, 0) + cc * f
-                            if s:
-                                nxt[e2] = s
-                            else:
-                                del nxt[e2]
-                acc = nxt
-        for ee, cc in acc.items():
-            s = out.get(ee, 0) + cc
-            if s:
-                out[ee] = s
-            else:
-                del out[ee]
+                term = term.times_linear(images[j])
+        out = out + term
     return out
 
 
-def _render_terms(terms: dict[tuple[int, ...], int], varname: str) -> str:
-    if not terms:
+def _to_y(p: Polynomial) -> Polynomial:
+    """Rewrite in the y-coordinates (n = rank + 1 variables), a_i = y_{i+1} - y_i."""
+    n = p.rank + 1
+    images = [tuple(int(k == i + 1) - int(k == i) for k in range(n)) for i in range(p.rank)]
+    return _substitute(p, images, n)
+
+
+def _render_terms(p: Polynomial, varname: str) -> str:
+    if not p:
         return "0"
     parts = []
-    for e, c in sorted(terms.items(), key=lambda t: _term_sort_key(t[0]), reverse=True):
+    for e, c in p.sorted_terms():
         factors = []
         for j, x in enumerate(e):
             if x == 1:
@@ -382,9 +493,9 @@ def render(p: Polynomial, basis: str = "alpha") -> str:
     'y2 - y1'
     """
     if basis == "alpha":
-        return _render_terms(p.terms, "a")
+        return _render_terms(p, "a")
     if basis == "y":
-        return _render_terms(_to_y_terms(p), "y")
+        return _render_terms(_to_y(p), "y")
     raise ValueError(f"unknown basis {basis!r}")
 
 
@@ -472,21 +583,11 @@ def parse(text: str, rank: int, basis: str = "alpha") -> Polynomial:
 
     if basis == "alpha":
         return Polynomial(rank, terms)
+    ys = Polynomial(nvars, terms)
     # gauge y_i -> -(a_i + ... + a_rank), y_{rank+1} -> 0, then check membership
-    gauge = []
-    for i in range(nvars):
-        v = [0] * rank
-        for j in range(i, rank):
-            v[j] = -1
-        gauge.append(tuple(v))
-    out = Polynomial.zero(rank)
-    for e, c in terms.items():
-        term = Polynomial.integer(rank, c)
-        for j, x in enumerate(e):
-            for _ in range(x):
-                term = term.times_linear(gauge[j])
-        out = out + term
-    if _to_y_terms(out) != terms:
+    gauge = [tuple(-int(j >= i) for j in range(rank)) for i in range(nvars)]
+    out = _substitute(ys, gauge, rank)
+    if _to_y(out) != ys:
         raise ValueError("polynomial is not expressible in the simple-root variables")
     return out
 
@@ -500,10 +601,9 @@ def poly_to_json(p: Polynomial) -> list[dict]:
 
 
 def poly_from_json(data: Iterable[dict], rank: int) -> Polynomial:
-    terms: dict[tuple[int, ...], int] = {}
+    """Inverse of :func:`poly_to_json`; ``ValueError`` on a bad exponent vector."""
+    terms: dict[int, int] = {}
     for item in data:
-        e = tuple(int(x) for x in item["exp"])
-        if len(e) != rank:
-            raise ValueError("exponent vector has wrong length")
+        e = _pack(tuple(int(x) for x in item["exp"]), rank)
         terms[e] = terms.get(e, 0) + int(item["coeff"])
-    return Polynomial(rank, terms)
+    return _make(rank, {e: c for e, c in terms.items() if c})

@@ -307,7 +307,7 @@ def format_trace(node: TraceNode, basis: str = "alpha", indent: str = "") -> lis
     for weight, child in node.children:
         wdeg = weight.homogeneous_degree()
         if wdeg == 0:
-            c = next(iter(weight.terms.values()))
+            c = weight.constant_term()
             wtxt = f"{'+' if c >= 0 else '-'}{abs(c)}"
         elif all(c < 0 for c in weight.terms.values()):
             wtxt = f"- ({render(-weight, basis)})"
@@ -377,7 +377,7 @@ def triple_constant(w: WeylElement, v: WeylElement, u: WeylElement) -> int:
         return 0
     if deg != 0:
         raise AssertionError("ordinary constant is not an integer")
-    return next(iter(val.terms.values()))
+    return val.constant_term()
 
 
 def ordinary_recurrence_check(
@@ -416,7 +416,7 @@ def ordinary_recurrence_check(
             if val.is_zero():
                 return 0
             assert val.homogeneous_degree() == 0
-            return next(iter(val.terms.values()))
+            return val.constant_term()
 
     else:
         raise ValueError(f"unknown engine {engine!r}")

@@ -252,6 +252,39 @@ def test_edited_cache_entry_is_not_served(tmp_path, capsys, monkeypatch):
         assert json.loads(entry.read_text())[field] != bad
 
 
+def test_cache_entry_with_out_of_range_exponent_is_a_miss(tmp_path, capsys, monkeypatch):
+    from schubertcalc.cli import _entry_digest
+
+    monkeypatch.setenv("SCHUBERTCALC_CACHE_DIR", str(tmp_path))
+    argv = ("constant", "--group", "A3", "--w", "1234", "--v", "2413", "--u", "2413")
+    assert run(capsys, *argv)[:2] == (0, "1\n")
+    entry = _cache_entry(tmp_path)
+    for exp in ([70000, 0, 0], [-1, 0, 0]):
+        # well formed and correctly digested, but not a polynomial we can hold
+        data = json.loads(entry.read_text())
+        data["value"] = [{"coeff": 1, "exp": exp}]
+        data["sha256"] = _entry_digest(data["key"], data["value"])
+        entry.write_text(json.dumps(data))
+        assert run(capsys, *argv)[:2] == (0, "1\n")
+        assert json.loads(entry.read_text())["value"] == [{"coeff": 1, "exp": [0, 0, 0]}]
+
+
+def test_parser_built_once_gives_the_output_of_a_fresh_parser(capsys, monkeypatch):
+    import schubertcalc.cli as cli
+
+    cases = [
+        ("constant", "--group", "A3", "--w", "1234", "--v", "2413", "--u", "2413", "--output", "json"),
+        ("info", "--group", "A3"),
+        ("constant", "--group", "A3", "--w", "1234"),  # usage error: missing --v and --u
+        ("constant", "--help"),
+    ]
+    cached = [run(capsys, *argv) for argv in cases]
+    assert cli.build_parser() is cli.build_parser()
+    assert [c[0] for c in cached] == [0, 0, 2, 0] and "required" in cached[2][2]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [run(capsys, *argv) for argv in cases] == cached
+
+
 def test_constant_command_does_not_enumerate(capsys, monkeypatch):
     import schubertcalc.cli as cli
 

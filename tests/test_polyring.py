@@ -1,8 +1,10 @@
 """Sparse integer polynomials: arithmetic, action, division, text forms.
 
-sympy serves as the independent oracle for the ring operations and exact
-division; the Weyl action is checked against the group axioms on random
-inputs in A3 and B2.
+sympy serves as the independent oracle for the ring operations, exact
+division and the Weyl action (Hypothesis inputs in ranks 1-8); the action
+is also checked against the group axioms on random inputs in A3 and B2.
+The packed storage is checked for its tuple-keyed ``terms`` view and for
+exponents that leave their field.
 """
 
 import json
@@ -10,6 +12,7 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from schubertcalc import (
     NotDivisibleError,
@@ -19,6 +22,7 @@ from schubertcalc import (
     is_divisible,
     named,
     parse,
+    word_to_element,
     poly_from_json,
     poly_to_json,
     render,
@@ -186,3 +190,133 @@ def test_degrees():
 def test_rank_mismatch_is_rejected():
     with pytest.raises(ValueError):
         Polynomial.variable(2, 1) + Polynomial.variable(3, 1)
+
+
+# -- Hypothesis: the packed ring against sympy, ranks 1-8 ----------------------
+
+
+def monomial(variables, rank):
+    return tuple(variables.count(j) for j in range(rank))
+
+
+def polys(rank, max_degree=4):
+    """Up to six terms of degree at most ``max_degree``, zeros included."""
+    exps = st.lists(st.integers(0, rank - 1), max_size=max_degree).map(lambda vs: monomial(vs, rank))
+    return st.dictionaries(exps, st.integers(-5, 5), max_size=6).map(lambda t: Polynomial(rank, t))
+
+
+def linear_forms(rank):
+    return st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+
+
+@st.composite
+def two_polys(draw):
+    rank = draw(st.integers(1, 8))
+    return draw(polys(rank)), draw(polys(rank))
+
+
+@st.composite
+def poly_and_form(draw):
+    rank = draw(st.integers(1, 8))
+    return draw(polys(rank)), draw(linear_forms(rank))
+
+
+def sym_vars(rank):
+    return sympy.symbols([f"x{i}" for i in range(rank)])
+
+
+def sym_form(f):
+    return sum(c * x for c, x in zip(f, sym_vars(len(f))))
+
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@SETTINGS
+@given(two_polys())
+def test_ring_ops_match_sympy(pq):
+    p, q = pq
+    assert sym(p + q) == sympy.expand(sym(p) + sym(q))
+    assert sym(p - q) == sympy.expand(sym(p) - sym(q))
+    assert sym(p * q) == sympy.expand(sym(p) * sym(q))
+    assert sym(-p) == -sym(p)
+
+
+@SETTINGS
+@given(poly_and_form())
+def test_times_linear_and_divide_exact_match_sympy(pf):
+    p, f = pf
+    prod = p.times_linear(f)
+    assert sym(prod) == sympy.expand(sym(p) * sym_form(f))
+    assert divide_exact(prod, f) == p
+    # an arbitrary p: divisible over the integers iff sympy leaves no
+    # remainder and an integral quotient
+    q, r = sympy.div(sym(p), sym_form(f), *sym_vars(p.rank), domain="QQ")
+    integral = r == 0 and all(c.is_integer for c in sympy.Poly(q, *sym_vars(p.rank)).coeffs())
+    assert is_divisible(p, f) == integral
+    if integral:
+        assert sym(divide_exact(p, f)) == sympy.expand(q)
+
+
+@SETTINGS
+@given(st.integers(1, 8).flatmap(
+    lambda rank: st.tuples(polys(rank), st.lists(st.integers(1, rank), max_size=8))
+))
+def test_act_matches_sympy_substitution(pw):
+    p, word = pw
+    rank = p.rank
+    w = word_to_element(named(f"A{rank}"), word)
+    xs = sym_vars(rank)
+    images = {xs[j]: sum(w.mat[r][j] * xs[r] for r in range(rank)) for j in range(rank)}
+    assert sym(act(w, p)) == sympy.expand(sym(p).subs(images, simultaneous=True))
+
+
+@SETTINGS
+@given(st.integers(1, 8).flatmap(polys))
+def test_terms_view_round_trip(p):
+    assert Polynomial(p.rank, p.terms) == p
+    assert len(p.terms) == len(list(p.terms.items()))
+    for e, c in p.terms.items():
+        assert isinstance(e, tuple) and len(e) == p.rank and c != 0
+        assert p.terms[e] == c and e in p.terms
+    assert dict(p.terms) == {tuple(x["exp"]): x["coeff"] for x in poly_to_json(p)}
+
+
+def test_terms_view_is_read_only_and_keyed_by_tuples():
+    p = Polynomial(2, {(1, 0): 3, (0, 2): -1, (4, 4): 0})
+    assert dict(p.terms) == {(1, 0): 3, (0, 2): -1}
+    assert p.terms.get((4, 4)) is None and p.terms.get((1,)) is None
+    assert sorted(p.terms.values()) == [-1, 3]
+    with pytest.raises(TypeError):
+        p.terms[(1, 0)] = 5
+
+
+MAX_EXP = 65535
+
+
+def test_exponent_at_the_field_limit_is_exact():
+    a1 = Polynomial.variable(2, 1)
+    p = Polynomial(2, {(MAX_EXP - 1, 3): 2})
+    assert dict((p * a1).terms) == {(MAX_EXP, 3): 2}
+    assert dict(p.times_linear((1, 0)).terms) == {(MAX_EXP, 3): 2}
+
+
+def test_product_past_the_field_limit_raises_and_never_wraps():
+    a1, a2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    top = Polynomial(2, {(MAX_EXP, 3): 1})
+    with pytest.raises(OverflowError):
+        top * a1  # a carry would read as a1^0 a2^4
+    with pytest.raises(OverflowError):
+        top.times_linear((1, 1))
+    with pytest.raises(OverflowError):
+        (top + a2) * (a1 + a2)
+    with pytest.raises(OverflowError):
+        divide_exact(top.times_linear((0, 1)) * a2, (0, 1)) * a1
+
+
+@pytest.mark.parametrize("exp", [(-1, 0), (MAX_EXP + 1, 0), (70000, 0), (1, 2, 3)])
+def test_out_of_range_exponents_are_bad_data(exp):
+    with pytest.raises(ValueError):
+        Polynomial(2, {exp: 1})
+    with pytest.raises(ValueError):
+        poly_from_json([{"coeff": 1, "exp": list(exp)}], 2)
