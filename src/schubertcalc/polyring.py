@@ -32,7 +32,7 @@ Polynomials are immutable values and every operation is pure.
 from __future__ import annotations
 
 import re
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from functools import cache, reduce
 from operator import or_
 from typing import Iterable, Sequence
@@ -142,16 +142,6 @@ class _Terms(Mapping):
     def values(self):
         return self._t.values()
 
-    def items(self):
-        return _TermItems(self)
-
-
-class _TermItems(ItemsView):
-    def __iter__(self):
-        rank = self._mapping._rank
-        for k, c in self._mapping._t.items():
-            yield _unpack(k, rank), c
-
 
 class Polynomial:
     """An immutable sparse polynomial with integer coefficients."""
@@ -231,19 +221,23 @@ class Polynomial:
             return Polynomial.integer(self.rank, other)
         return NotImplemented
 
-    def __add__(self, other) -> "Polynomial":
+    def _merge(self, other, sign: int) -> "Polynomial":
+        """``self + sign * other``, without building ``sign * other``."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._t)
         get = out.get
         for e, c in other._t.items():
-            s = get(e, 0) + c
+            s = get(e, 0) + sign * c
             if s:
                 out[e] = s
             else:
                 del out[e]
         return _make(self.rank, out)
+
+    def __add__(self, other) -> "Polynomial":
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
@@ -251,18 +245,7 @@ class Polynomial:
         return _make(self.rank, {e: -c for e, c in self._t.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._t)
-        get = out.get
-        for e, c in other._t.items():
-            s = get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return _make(self.rank, out)
+        return self._merge(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
@@ -274,11 +257,6 @@ class Polynomial:
         a, b = self._t, other._t
         if len(a) < len(b):
             a, b = b, a
-        if not b:
-            return _make(self.rank, {})
-        if len(b) == 1:
-            ((e2, c2),) = b.items()
-            return _checked(self.rank, {e1 + e2: c1 * c2 for e1, c1 in a.items()})
         out: dict[int, int] = {}
         get = out.get
         b = list(b.items())
