@@ -12,10 +12,19 @@ not they were chosen.  The result does not depend on the choice of ``I``
 (tested exhaustively, not assumed), each summand is a product of positive
 roots, and ``S_v|_w`` vanishes unless ``v <= w``.
 
-Rather than scanning all ``2^l`` subwords, the computation is a single
+Rather than scanning all ``2^l`` subwords, the computation is a
 left-to-right pass over ``I`` keeping one accumulated polynomial per
-partial subword product, so the state space is bounded by the Bruhat
-interval below the target.
+partial subword product: after a prefix ``w'`` this is the column
+``{v: S_v|_{w'}}``, and one more letter gives (Billey, Duke Math. J. 96, 1999)
+
+    S_v|_{w' r_i} = S_v|_{w'} + [v r_i < v] (w' . alpha_i) S_{v r_i}|_{w'}.
+
+:func:`restrict_all`, :func:`schubert_class` and :func:`restrict` read a
+shared per-group table: the canonical word of ``w`` extends that of its
+prefix, so each column is one letter on the prefix's column, sharing its
+unchanged polynomials.  :func:`restrict` with an explicit ``word`` (an
+independent check of the table), and without one when the table lacks the
+column (as for :func:`base_constant`), runs a Bruhat-pruned pass instead.
 
 Two special values get their own entry points: the bottom restriction
 ``S_w|_w`` (a product of positive roots, by the closed formula) and the
@@ -41,6 +50,23 @@ __all__ = [
 ]
 
 
+def _extend(acc: dict, prefix: WeylElement, i: int, keep=None) -> dict:
+    """The column at ``prefix * r_i > prefix``, from the column ``acc`` at ``prefix``.
+
+    ``keep`` optionally prunes the new states (a predicate on elements).
+    """
+    rs = prefix.rs
+    r = rs.simple_reflection(i)
+    factor = Polynomial.linear(prefix.act(rs.simple_root(i)).coords)
+    zero = Polynomial.zero(rs.rank)
+    nxt = dict(acc)
+    for p, poly in acc.items():
+        q = p * r
+        if q.length == p.length + 1 and (keep is None or keep(q)):
+            nxt[q] = nxt.get(q, zero).addmul(poly, factor)
+    return nxt
+
+
 def _billey_pass(w: WeylElement, keep=None, word=None) -> dict[WeylElement, Polynomial]:
     """One DP pass over a reduced word of ``w``, by default its canonical one.
 
@@ -51,17 +77,8 @@ def _billey_pass(w: WeylElement, keep=None, word=None) -> dict[WeylElement, Poly
     acc = {rs.identity: Polynomial.one(rs.rank)}
     prefix = rs.identity
     for i in w.reduced_word() if word is None else word:
-        r = rs.simple_reflection(i)
-        factor = prefix.act(rs.simple_root(i)).coords
-        nxt = dict(acc)
-        for p, poly in acc.items():
-            q = p * r
-            if q.length == p.length + 1 and (keep is None or keep(q)):
-                contrib = poly.times_linear(factor)
-                s = nxt.get(q)
-                nxt[q] = contrib if s is None else s + contrib
-        acc = nxt
-        prefix = prefix * r
+        acc = _extend(acc, prefix, i, keep)
+        prefix = prefix * rs.simple_reflection(i)
     return acc
 
 
@@ -86,28 +103,31 @@ def restrict(v: WeylElement, w: WeylElement, word=None) -> Polynomial:
         return _billey_pass(w, keep=lambda q: bruhat_leq(q, v), word=word).get(v, zero)
     if not bruhat_leq(v, w):
         return zero
-    cache = rs.cache("restrict")
-    key = (v, w)
-    got = cache.get(key)
-    if got is None:
-        table = rs.cache("restrict_all").get(w)
-        if table is not None:
-            got = table.get(v, zero)
-        else:
-            got = _billey_pass(w, keep=lambda q: bruhat_leq(q, v)).get(v, zero)
-        cache[key] = got
-    return got
+    col = rs.cache("restrict_all").get(w) or _billey_pass(w, keep=lambda q: bruhat_leq(q, v))
+    return col.get(v, zero)
 
 
 def restrict_all(w: WeylElement) -> dict[WeylElement, Polynomial]:
-    """The full column ``{v: S_v|_w for v <= w}`` in one pass; memoized."""
+    """The column ``{v: S_v|_w for v <= w}``, from the shared table.
+
+    Walks down the canonical word of ``w`` to its longest cached prefix,
+    then extends that column one letter at a time, caching each prefix.
+    """
     rs = w.rs
     cache = rs.cache("restrict_all")
-    got = cache.get(w)
-    if got is None:
-        got = _billey_pass(w)
-        cache[w] = got
-    return got
+    if not cache:
+        cache[rs.identity] = {rs.identity: Polynomial.one(rs.rank)}
+    letters, u = [], w
+    while u not in cache:  # the canonical word of u ends in its least descent
+        i = u.right_descents()[0]
+        letters.append(i)
+        u = u * rs.simple_reflection(i)
+    col = cache[u]
+    for i in reversed(letters):
+        col = _extend(col, u, i)
+        u = u * rs.simple_reflection(i)
+        cache[u] = col
+    return col
 
 
 def bottom_factors(w: WeylElement) -> list[Root]:
@@ -117,12 +137,8 @@ def bottom_factors(w: WeylElement) -> list[Root]:
     to divide by it should divide by these linear factors one at a time.
     """
     rs = w.rs
-    out = []
-    for beta in rs.positive_roots:
-        img = w.inverse().act(beta)
-        if not img.is_positive:
-            out.append(beta)
-    return out
+    x = w.inverse().x  # w(rho); beta is a factor iff <w(rho), beta_check> < 0
+    return [b for b in rs.positive_roots if sum(d * c for d, c in zip(rs.coroot_coords(b), x)) < 0]
 
 
 def bottom_restriction(w: WeylElement) -> Polynomial:

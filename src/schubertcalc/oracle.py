@@ -47,7 +47,6 @@ ORACLE_SWEEP_CAP = 120  # largest |W| swept by default
 @dataclass
 class ExpansionReport:
     expansion: SchubertExpansion
-    residual_zero: bool
     steps: int
 
 
@@ -80,23 +79,26 @@ def expand_in_schubert(p: GkmClass) -> ExpansionReport:
         for beta in bottom_factors(w):
             coeff = divide_exact(coeff, beta.coords)
         coeffs[w] = coeff
+        neg = -coeff
         for j, sv in enumerate(schubert_class(w).values):
             if sv:  # S_w is supported on {v >= w}
-                residual[j] = residual[j] - coeff * sv
-    residual_zero = all(q.is_zero() for q in residual)
-    if not residual_zero:
+                residual[j] = residual[j].addmul(neg, sv)
+    if any(residual):
         raise NonzeroResidualError("nonzero residual after full elimination")
-    return ExpansionReport(SchubertExpansion(rs, coeffs), residual_zero, steps)
+    return ExpansionReport(SchubertExpansion(rs, coeffs), steps)
 
 
 def oracle_constant(w: WeylElement, v: WeylElement, u: WeylElement) -> Polynomial:
-    """The coefficient of ``S_u`` in ``S_w * S_v``, by direct expansion."""
+    """The coefficient of ``S_u`` in ``S_w * S_v``, by direct expansion.
+
+    The product is commutative, so one expansion is cached per unordered pair.
+    """
     rs = w.rs
     cache = rs.cache("oracle_products")
-    key = (w, v)
+    key = (w, v) if (w.length, w.x) <= (v.length, v.x) else (v, w)
     got = cache.get(key)
     if got is None:
-        got = expand_in_schubert(schubert_class(w) * schubert_class(v)).expansion
+        got = expand_in_schubert(schubert_class(key[0]) * schubert_class(key[1])).expansion
         cache[key] = got
     return got.coeff(u)
 

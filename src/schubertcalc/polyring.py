@@ -17,6 +17,10 @@ never come near the limit: a restriction or a structure constant has
 degree at most |Delta_+| (120 in E8).  Packed keys compare like the
 reversed exponent tuples, so the display order is (degree, key).
 
+The one product loop is ``p.addmul(a, b) == p + a * b``, accumulated into
+a copy of ``p``'s terms (Monagan and Pearce, CASC 2007); ``*`` and
+``times_linear`` call it with a zero ``p``.
+
 ``Polynomial.terms`` is a read-only mapping from exponent tuples to
 coefficients, unpacked on read, and ``Polynomial(rank, {tuple: int})``
 packs; code in this package works on the packed keys.
@@ -250,21 +254,29 @@ class Polynomial:
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
 
+    def addmul(self, a: "Polynomial", b: "Polynomial") -> "Polynomial":
+        """``self + a * b``, accumulated in one pass into a copy of ``self``'s terms."""
+        if a.rank != self.rank or b.rank != self.rank:
+            raise ValueError("polynomial rank mismatch")
+        x, y = a._t, b._t
+        if len(x) < len(y):
+            x, y = y, x
+        out = dict(self._t)
+        get = out.get
+        y = list(y.items())
+        for e1, c1 in x.items():
+            for e2, c2 in y:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return _checked(self.rank, out)
+
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._t, other._t
-        if len(a) < len(b):
-            a, b = b, a
-        out: dict[int, int] = {}
-        get = out.get
-        b = list(b.items())
-        for e1, c1 in a.items():
-            for e2, c2 in b:
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        return _checked(self.rank, {e: c for e, c in out.items() if c})
+        return _make(self.rank, {}).addmul(self, other)
 
     __rmul__ = __mul__
 
@@ -280,15 +292,8 @@ class Polynomial:
         return _make(self.rank, {e: c * v for e, v in self._t.items()} if c else {})
 
     def times_linear(self, coords: Sequence[int]) -> "Polynomial":
-        """Multiply by a linear form; cheaper than generic ``*``."""
-        units = _linear_units(coords, self.rank)
-        out: dict[int, int] = {}
-        get = out.get
-        for e, c in self._t.items():
-            for u, f in units:
-                e2 = e + u
-                out[e2] = get(e2, 0) + c * f
-        return _checked(self.rank, {e: c for e, c in out.items() if c})
+        """Multiply by a linear form."""
+        return _make(self.rank, {}).addmul(self, Polynomial.linear(coords))
 
     # -- degrees ----------------------------------------------------------
 

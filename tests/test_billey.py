@@ -160,3 +160,35 @@ def test_restriction_in_b2_is_word_independent(b2):
         for v in b2.elements():
             vals = {restrict(v, w, word=word) for word in all_reduced_words(w)}
             assert len(vals) == 1
+
+
+def test_bottom_factors_match_the_matrix_definition():
+    for label in ("A3", "B3", "C3", "G2"):
+        rs = named(label)
+        for w in rs.elements():
+            expect = [b for b in rs.positive_roots if not w.inverse().act(b).is_positive]
+            assert bottom_factors(w) == expect, (label, w)
+
+
+def test_shared_table_columns_match_independent_passes():
+    """Every column of the shared table, against passes that do not read it.
+
+    ``restrict(..., word=...)`` runs its own pass; the word is a
+    non-canonical reduced word whenever ``w`` has one.  In the groups of
+    order at most 24 the subset scan checks the same values.  Filling the
+    table from the longest element down makes the first calls walk down
+    long prefix chains.
+    """
+    for label in ("A3", "B3", "C3", "G2"):
+        rs = named(label)
+        zero = Polynomial.zero(rs.rank)
+        for w in reversed(rs.elements()):
+            col = restrict_all(w)
+            assert set(col) == {v for v in rs.elements() if bruhat_leq(v, w)}
+            words = all_reduced_words(w)
+            word = next((x for x in words if x != w.reduced_word()), words[0])
+            for v in rs.elements():
+                expect = restrict(v, w, word=word)
+                assert col.get(v, zero) == expect, (label, v, w)
+                if rs.order() <= 24:
+                    assert expect == brute_restrict(v, w, word)

@@ -320,3 +320,47 @@ def test_out_of_range_exponents_are_bad_data(exp):
         Polynomial(2, {exp: 1})
     with pytest.raises(ValueError):
         poly_from_json([{"coeff": 1, "exp": list(exp)}], 2)
+
+
+# -- the fused multiply-add kernel ----------------------------------------------
+
+
+@st.composite
+def three_polys(draw):
+    rank = draw(st.integers(1, 8))
+    return draw(polys(rank)), draw(polys(rank)), draw(polys(rank))
+
+
+@SETTINGS
+@given(three_polys())
+def test_addmul_matches_sympy(pab):
+    p, a, b = pab
+    got = p.addmul(a, b)
+    assert got == p + a * b
+    assert sym(got) == sympy.expand(sym(p) + sym(a) * sym(b))
+    assert 0 not in got.terms.values()
+
+
+@SETTINGS
+@given(three_polys())
+def test_addmul_cancels_exactly(pab):
+    p, a, b = pab
+    zero = (-(a * b)).addmul(a, b)
+    assert zero == Polynomial.zero(p.rank) and zero.is_zero() and not zero.terms
+    assert (p - a * b).addmul(a, b) == p
+
+
+def test_addmul_rejects_rank_mismatch():
+    p2, p3 = Polynomial.variable(2, 1), Polynomial.variable(3, 1)
+    for s, a, b in ((p2, p2, p3), (p2, p3, p2), (p3, p2, p2)):
+        with pytest.raises(ValueError):
+            s.addmul(a, b)
+
+
+def test_addmul_past_the_field_limit_raises():
+    a1, a2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    top = Polynomial(2, {(MAX_EXP, 3): 1})
+    with pytest.raises(OverflowError):
+        Polynomial.zero(2).addmul(top, a1)
+    with pytest.raises(OverflowError):
+        a2.addmul(a1 + a2, top)
