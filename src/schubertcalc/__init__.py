@@ -39,10 +39,8 @@ from .rootsys import (
     cartan_pairing,
     coeff_pairing,
     covers,
-    enumerate_group,
     named,
     perm_to_element,
-    element_to_perm,
     word_to_element,
 )
 from .polyring import (
@@ -68,7 +66,6 @@ from .gkm import (
     left_act,
     left_dd,
     leibniz_check,
-    product,
     right_act,
     right_dd,
     unit_class,

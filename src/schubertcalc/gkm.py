@@ -14,6 +14,9 @@ to the simple roots, and the closed-form expansion of a Chern class times
 a Schubert class over the covers in Bruhat order.
 
 Values are stored densely, aligned with the canonical group enumeration.
+A product of classes multiplies each distinct pair of values once: Schubert
+classes repeat values (constant on the right cosets of the parabolic
+subgroup of their ascents), and polynomials cache their hashes.
 Classes are immutable; operator evaluations at distinct fixed points are
 independent, so results never depend on evaluation order.
 """
@@ -37,7 +40,6 @@ __all__ = [
     "chern_class",
     "left_dd",
     "right_dd",
-    "product",
     "chern_times_schubert",
     "leibniz_check",
     "class_to_json",
@@ -104,7 +106,14 @@ class GkmClass:
             return GkmClass(self.rs, [p * scalar for p in self.values])
         if isinstance(other, GkmClass):
             self._same(other)
-            return GkmClass(self.rs, [a * b for a, b in zip(self.values, other.values)])
+            products: dict = {}  # one product per distinct pair of values
+            values = []
+            for pair in zip(self.values, other.values):
+                got = products.get(pair)
+                if got is None:
+                    got = products[pair] = pair[0] * pair[1]
+                values.append(got)
+            return GkmClass(self.rs, values)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -269,11 +278,6 @@ def right_dd(alpha: Root, p: GkmClass) -> GkmClass:
         return divide_exact(diff, divisor)
 
     return GkmClass.from_function(rs, value)
-
-
-def product(p: GkmClass, q: GkmClass) -> GkmClass:
-    """Pointwise product of classes (the cup product in this model)."""
-    return p * q
 
 
 # -- Chern multiplication ------------------------------------------------------

@@ -8,6 +8,15 @@ the coefficient on ``S_w`` is the residual value at ``w`` divided exactly
 by that product; subtracting ``coeff * S_w`` clears the point and never
 touches shorter elements (an assertion guards this triangularity).
 
+Values repeat: by the right action ``S_u . r_i = S_u`` for every ascent
+``u r_i > u``, so ``S_u`` is constant on right cosets of the parabolic
+subgroup of ``u``'s ascents, and ``S_w * S_v`` on those of their common
+ascents.  The class product forms each distinct pair of values once, and
+each step of the elimination forms ``coeff * s`` once per distinct value
+``s`` of ``S_w`` (the support grouped by value is memoized beside the
+class), then adds it into every point of that group, each of which keeps
+its own residual.
+
 The expansion deliberately shares no code path with the recursive
 structure-constant engine beyond the primitive modules, so the two can
 check each other: :func:`verify_sweep` compares them on every triple of a
@@ -80,12 +89,37 @@ def expand_in_schubert(p: GkmClass) -> ExpansionReport:
             coeff = divide_exact(coeff, beta.coords)
         coeffs[w] = coeff
         neg = -coeff
-        for j, sv in enumerate(schubert_class(w).values):
-            if sv:  # S_w is supported on {v >= w}
-                residual[j] = residual[j].addmul(neg, sv)
+        for sv, points in _support_by_value(w):
+            d = neg * sv
+            for j in points:
+                residual[j] = residual[j] + d
     if any(residual):
         raise NonzeroResidualError("nonzero residual after full elimination")
     return ExpansionReport(SchubertExpansion(rs, coeffs), steps)
+
+
+def _support_by_value(w: WeylElement) -> list[tuple[Polynomial, list[int]]]:
+    """The support of ``S_w`` (the points ``v >= w``) grouped by value; memoized."""
+    cache = w.rs.cache("schubert_by_value")
+    got = cache.get(w)
+    if got is None:
+        groups: dict[Polynomial, list[int]] = {}
+        for j, sv in enumerate(schubert_class(w).values):
+            if sv:
+                groups.setdefault(sv, []).append(j)
+        got = cache[w] = list(groups.items())
+    return got
+
+
+def _expansion(w: WeylElement, v: WeylElement) -> SchubertExpansion:
+    """The Schubert expansion of ``S_w * S_v``, cached once per unordered pair."""
+    cache = w.rs.cache("oracle_products")
+    key = (w, v) if (w.length, w.x) <= (v.length, v.x) else (v, w)
+    got = cache.get(key)
+    if got is None:
+        got = expand_in_schubert(schubert_class(key[0]) * schubert_class(key[1])).expansion
+        cache[key] = got
+    return got
 
 
 def oracle_constant(w: WeylElement, v: WeylElement, u: WeylElement) -> Polynomial:
@@ -93,14 +127,7 @@ def oracle_constant(w: WeylElement, v: WeylElement, u: WeylElement) -> Polynomia
 
     The product is commutative, so one expansion is cached per unordered pair.
     """
-    rs = w.rs
-    cache = rs.cache("oracle_products")
-    key = (w, v) if (w.length, w.x) <= (v.length, v.x) else (v, w)
-    got = cache.get(key)
-    if got is None:
-        got = expand_in_schubert(schubert_class(key[0]) * schubert_class(key[1])).expansion
-        cache[key] = got
-    return got.coeff(u)
+    return _expansion(w, v).coeff(u)
 
 
 @dataclass
@@ -176,10 +203,11 @@ def verify_sweep(
     t0 = time.perf_counter()
     for w in ws:
         for v in vs:
+            expansion = _expansion(w, v)
             for u in us:
                 report.triples += 1
                 rec = structure_constant(w, v, u)
-                orc = oracle_constant(w, v, u)
+                orc = expansion.coeff(u)
                 if rec != orc:
                     report.mismatches.append(
                         {

@@ -52,21 +52,13 @@ __all__ = [
     "WeylElement",
     "build",
     "named",
-    "simple_reflection",
-    "multiply",
-    "inverse",
-    "length",
     "perm_to_element",
-    "element_to_perm",
     "word_to_element",
-    "right_ascent",
     "covers",
     "bruhat_leq",
-    "reduced_word",
     "all_reduced_words",
     "coeff_pairing",
     "cartan_pairing",
-    "enumerate_group",
 ]
 
 MAX_ROOTS = 10_000
@@ -563,37 +555,6 @@ def named(label: str) -> RootSystem:
     return build(cartan, type_label=f"{family}{n}")
 
 
-# -- group operations (functional spellings) ---------------------------------
-
-
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    return rs.simple_reflection(i)
-
-
-def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
-    return a * b
-
-
-def inverse(a: WeylElement) -> WeylElement:
-    return a.inverse()
-
-
-def length(a: WeylElement) -> int:
-    return a.length
-
-
-def right_ascent(w: WeylElement, i: int) -> bool:
-    return w.right_ascent(i)
-
-
-def reduced_word(w: WeylElement) -> tuple[int, ...]:
-    return w.reduced_word()
-
-
-def enumerate_group(rs: RootSystem) -> list[WeylElement]:
-    return rs.elements()
-
-
 def perm_to_element(rs: RootSystem, oneline) -> WeylElement:
     """Element of a type A system from one-line notation (values 1..n).
 
@@ -623,10 +584,6 @@ def perm_to_element(rs: RootSystem, oneline) -> WeylElement:
     for i in reversed(letters):
         w = w * rs.simple_reflection(i)
     return w
-
-
-def element_to_perm(w: WeylElement) -> tuple[int, ...]:
-    return w.one_line()
 
 
 def word_to_element(rs: RootSystem, word) -> WeylElement:

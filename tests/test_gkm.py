@@ -19,7 +19,6 @@ from schubertcalc import (
     left_dd,
     leibniz_check,
     named,
-    product,
     right_act,
     right_dd,
     schubert_class,
@@ -203,7 +202,7 @@ def test_right_act_defining_relation(s3, b2):
                 alpha = rs.simple_root(i)
                 r = rs.simple_reflection(i)
                 lhs = right_act(r, p)
-                rhs = p - product(chern_class(rs, alpha), right_dd(alpha, p))
+                rhs = p - chern_class(rs, alpha) * right_dd(alpha, p)
                 assert lhs == rhs
 
 
@@ -219,9 +218,9 @@ def test_dd_rejects_non_class(a1):
 def test_product_unit_and_support(s3):
     for w in s3.elements():
         S = schubert_class(w)
-        assert product(S, unit_class(s3)) == S
+        assert S * unit_class(s3) == S
     w, v = perm(s3, "213"), perm(s3, "132")
-    pq = product(schubert_class(w), schubert_class(v))
+    pq = schubert_class(w) * schubert_class(v)
     from schubertcalc import bruhat_leq
 
     for u in s3.elements():
@@ -231,7 +230,7 @@ def test_product_unit_and_support(s3):
 
 def test_square_of_simple_schubert_class(a1):
     s1 = a1.simple_reflection(1)
-    sq = product(schubert_class(s1), schubert_class(s1))
+    sq = schubert_class(s1) * schubert_class(s1)
     assert sq.value(s1) == Polynomial.variable(1, 1) ** 2
     assert sq.value(a1.identity).is_zero()
 
@@ -270,7 +269,7 @@ def test_chern_times_schubert_vs_oracle(s4, b2, g2):
             c = chern_class(rs, alpha)
             for w in rs.elements():
                 closed = chern_times_schubert(rs, alpha, w)
-                direct = expand_in_schubert(product(c, schubert_class(w))).expansion
+                direct = expand_in_schubert(c * schubert_class(w)).expansion
                 assert closed == direct, (rs.type_label, i, w.describe())
 
 

@@ -1,5 +1,6 @@
 """The expansion oracle and the verification sweeps."""
 
+import itertools
 import random
 
 import pytest
@@ -11,14 +12,15 @@ from schubertcalc import (
     NotDivisibleError,
     Polynomial,
     SchubertExpansion,
+    bottom_factors,
     chern_class,
     coeff_pairing,
     covers,
+    divide_exact,
     expand_in_schubert,
     lemma_cover_sweep,
     named,
     oracle_constant,
-    product,
     render,
     right_act,
     schubert_class,
@@ -39,14 +41,14 @@ def test_expansion_of_basis_classes(s3, b2):
 
 def test_expansion_rank1_square(a1):
     s1 = a1.simple_reflection(1)
-    report = expand_in_schubert(product(schubert_class(s1), schubert_class(s1)))
+    report = expand_in_schubert(schubert_class(s1) * schubert_class(s1))
     assert report.expansion.coeffs == {s1: Polynomial.variable(1, 1)}
     assert report.steps == 1
 
 
 def test_expansion_chern_times_unit(s3):
     c = chern_class(s3, s3.simple_root(1))
-    exp = expand_in_schubert(product(c, schubert_class(s3.identity))).expansion
+    exp = expand_in_schubert(c * schubert_class(s3.identity)).expansion
     assert exp.coeff(s3.identity) == -Polynomial.variable(2, 1)
     assert exp.coeff(s3.simple_reflection(1)) == Polynomial.integer(2, 2)
     assert exp.coeff(s3.simple_reflection(2)) == Polynomial.integer(2, -1)
@@ -100,18 +102,18 @@ def test_sweep_expands_each_unordered_pair_once(monkeypatch):
         calls.append(p)
         return expand(p)
 
-    def ordered_oracle(w, v, u):
+    def ordered_expansion(w, v):
         """The oracle with one expansion per ordered pair."""
         cache = w.rs.cache("ordered_products")
         got = cache.get((w, v))
         if got is None:
             got = cache[(w, v)] = expand(schubert_class(w) * schubert_class(v)).expansion
-        return got.coeff(u)
+        return got
 
     monkeypatch.setattr(oracle_mod, "expand_in_schubert", counted)
     report = verify_sweep(named("A3")).to_json()
     assert len(calls) == 24 * 25 // 2
-    monkeypatch.setattr(oracle_mod, "oracle_constant", ordered_oracle)
+    monkeypatch.setattr(oracle_mod, "_expansion", ordered_expansion)
     expect = verify_sweep(named("A3")).to_json()
     assert len(calls) == 24 * 25 // 2
     del report["elapsed_ms"], expect["elapsed_ms"]
@@ -196,3 +198,81 @@ def test_sweep_agrees_with_direct_queries(s3):
     assert report.max_coeff >= 1
     w, v, u = perm(s3, "231"), perm(s3, "213"), perm(s3, "231")
     assert structure_constant(w, v, u) == oracle_constant(w, v, u)
+
+
+# -- value sharing: each distinct product is formed once, every point updated --
+
+
+def naive_expansion(p):
+    """Reference elimination: one ``addmul`` per point of the support, no grouping."""
+    rs = p.rs
+    residual = list(p.values)
+    coeffs = {}
+    for idx, w in enumerate(rs.elements()):
+        if residual[idx].is_zero():
+            continue
+        coeff = residual[idx]
+        for beta in bottom_factors(w):
+            coeff = divide_exact(coeff, beta.coords)
+        coeffs[w] = coeff
+        for j, sv in enumerate(schubert_class(w).values):
+            if sv:
+                residual[j] = residual[j].addmul(-coeff, sv)
+    assert not any(residual)
+    return SchubertExpansion(rs, coeffs), len(coeffs)
+
+
+def pointwise(p, q):
+    return GkmClass(p.rs, [a * b for a, b in zip(p.values, q.values)])
+
+
+def test_expansion_matches_naive_elimination():
+    rng = random.Random(5)
+    for label in ("A3", "B2", "G2", "B3"):
+        rs = named(label)
+        pairs = list(itertools.combinations_with_replacement(rs.elements(), 2))
+        if label == "B3":
+            pairs = rng.sample(pairs, 100)
+        for w, v in pairs:
+            report = expand_in_schubert(schubert_class(w) * schubert_class(v))
+            expect, steps = naive_expansion(pointwise(schubert_class(w), schubert_class(v)))
+            assert (report.expansion, report.steps) == (expect, steps), (label, w, v)
+
+
+def test_class_product_multiplies_each_distinct_value_pair_once(s4, monkeypatch):
+    addmul = Polynomial.addmul
+    calls = []
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return addmul(self, a, b)
+
+    for w in s4.elements():
+        for v in s4.elements():
+            p, q = schubert_class(w), schubert_class(v)
+            expect = pointwise(p, q)
+            calls.clear()
+            monkeypatch.setattr(Polynomial, "addmul", counted)
+            got = p * q
+            monkeypatch.setattr(Polynomial, "addmul", addmul)
+            assert got == expect
+            assert len(calls) == len(set(zip(p.values, q.values)))
+
+
+def test_corrupted_point_fails_despite_shared_values(s4):
+    """Each point keeps its own residual: a corrupted point is never overwritten
+    by the result of a point that shares its value, so the elimination fails
+    there, dividing a constant by the bottom factors of ``x``."""
+    checked = 0
+    for w, v in [(perm(s4, "2134"), perm(s4, "1324")), (perm(s4, "1243"), perm(s4, "2143"))]:
+        values = (schubert_class(w) * schubert_class(v)).values
+        for x in s4.elements():
+            k = s4.element_index(x)
+            if x.length <= w.length + v.length or values.count(values[k]) < 2:
+                continue
+            corrupt = list(values)
+            corrupt[k] = corrupt[k] + Polynomial.one(s4.rank)
+            with pytest.raises(NotDivisibleError):
+                expand_in_schubert(GkmClass(s4, corrupt))
+            checked += 1
+    assert checked >= 10

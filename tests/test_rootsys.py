@@ -20,10 +20,8 @@ from schubertcalc import (
     cartan_pairing,
     coeff_pairing,
     covers,
-    enumerate_group,
     named,
     perm_to_element,
-    element_to_perm,
     word_to_element,
 )
 
@@ -155,7 +153,7 @@ def test_lengths_match_inversions_s4(s4):
     for oneline in itertools.permutations(range(1, 5)):
         w = perm_to_element(s4, oneline)
         assert w.length == inversions(oneline)
-        assert element_to_perm(w) == oneline
+        assert w.one_line() == oneline
         assert w.inverse().length == w.length
 
 
@@ -181,7 +179,7 @@ def test_right_multiplication_swaps_positions(s4):
     for oneline in itertools.permutations(range(1, 5)):
         w = perm_to_element(s4, oneline)
         for i in (1, 2, 3):
-            got = element_to_perm(w * s4.simple_reflection(i))
+            got = (w * s4.simple_reflection(i)).one_line()
             expect = list(oneline)
             expect[i - 1], expect[i] = expect[i], expect[i - 1]
             assert got == tuple(expect)
@@ -332,11 +330,11 @@ def test_enumeration_sizes():
 
     for n in range(2, 7):
         rs = named(f"A{n - 1}")
-        assert len(enumerate_group(rs)) == math.factorial(n)
+        assert len(rs.elements()) == math.factorial(n)
 
 
 def test_enumeration_order(b2):
-    elements = enumerate_group(b2)
+    elements = b2.elements()
     assert elements[0].is_identity()
     assert elements[-1] == b2.longest_element()
     lengths = [w.length for w in elements]
