@@ -133,8 +133,8 @@ def restrict_all(w: WeylElement) -> dict[WeylElement, Polynomial]:
 def bottom_factors(w: WeylElement) -> list[Root]:
     """The positive roots beta with ``r_beta w < w``, in canonical order.
 
-    Their product is the bottom restriction ``S_w|_w``; callers that need
-    to divide by it should divide by these linear factors one at a time.
+    Their product is the bottom restriction ``S_w|_w``; to divide by it, divide
+    by these one at a time, most nonzero coordinates first (as the oracle does).
     """
     rs = w.rs
     x = w.inverse().x  # w(rho); beta is a factor iff <w(rho), beta_check> < 0

@@ -163,15 +163,6 @@ class SchubertExpansion:
             and self.coeffs == other.coeffs
         )
 
-    def add_term(self, u: WeylElement, c: Polynomial) -> "SchubertExpansion":
-        out = dict(self.coeffs)
-        s = out.get(u, Polynomial.zero(self.rs.rank)) + c
-        if s.is_zero():
-            out.pop(u, None)
-        else:
-            out[u] = s
-        return SchubertExpansion(self.rs, out)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{u.describe()}: {c!r}" for u, c in self.items())
         return f"SchubertExpansion({{{inner}}})"

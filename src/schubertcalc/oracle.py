@@ -5,8 +5,9 @@ ring, because restriction is upper triangular with respect to Bruhat
 order: ``S_w`` is supported on ``{v >= w}`` and its bottom value is the
 product of the bottom factors.  Walking the group in increasing length,
 the coefficient on ``S_w`` is the residual value at ``w`` divided exactly
-by that product; subtracting ``coeff * S_w`` clears the point and never
-touches shorter elements (an assertion guards this triangularity).
+by that product, dividing by the factors with the most nonzero coordinates
+first; subtracting ``coeff * S_w`` clears the point and never touches
+earlier ones (a check per memoized class guards this triangularity).
 
 Values repeat: by the right action ``S_u . r_i = S_u`` for every ascent
 ``u r_i > u``, so ``S_u`` is constant on right cosets of the parabolic
@@ -14,8 +15,8 @@ subgroup of ``u``'s ascents, and ``S_w * S_v`` on those of their common
 ascents.  The class product forms each distinct pair of values once, and
 each step of the elimination forms ``coeff * s`` once per distinct value
 ``s`` of ``S_w`` (the support grouped by value is memoized beside the
-class), then adds it into every point of that group, each of which keeps
-its own residual.
+class), then subtracts it in place from the residual of every point of that
+group, a term dict of its own from the point's first update.
 
 The expansion deliberately shares no code path with the recursive
 structure-constant engine beyond the primitive modules, so the two can
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from .billey import bottom_factors, bottom_restriction, restrict, schubert_class
 from .errors import GroupTooLargeError, NonzeroResidualError
 from .gkm import GkmClass, SchubertExpansion
-from .polyring import Polynomial, divide_exact, render
+from .polyring import Polynomial, _add_terms, _make, divide_exact, render
 from .recurrence import structure_constant
 from .rootsys import RootSystem, WeylElement, all_reduced_words, covers
 
@@ -62,49 +63,53 @@ class ExpansionReport:
 def expand_in_schubert(p: GkmClass) -> ExpansionReport:
     """Expand a class in the Schubert basis by triangular elimination.
 
-    Raises :class:`NotDivisibleError` or :class:`NonzeroResidualError` when
-    the input is not a class (or an upstream computation is corrupted);
+    Raises :class:`NotDivisibleError` when the input is not a class and
+    :class:`NonzeroResidualError` when a memoized Schubert class is corrupt;
     these are never silently absorbed.
     """
     rs = p.rs
-    elements = rs.elements()
-    residual = list(p.values)
+    shared = [val._t for val in p.values]
+    residual = list(shared)  # packed terms, copied at a point's first update
     coeffs: dict[WeylElement, Polynomial] = {}
-    steps = 0
-    cleared_below = 0
-    for idx, w in enumerate(elements):
-        if w.length > cleared_below:
-            for j in range(idx):
-                if not residual[j].is_zero():
-                    raise NonzeroResidualError(
-                        f"residual survives at {elements[j]!r} below length {w.length}"
-                    )
-            cleared_below = w.length
-        val = residual[idx]
-        if val.is_zero():
+    for idx, w in enumerate(rs.elements()):
+        if not residual[idx]:
             continue
-        steps += 1
-        coeff = val
-        for beta in bottom_factors(w):
-            coeff = divide_exact(coeff, beta.coords)
+        coeff = _make(rs.rank, residual[idx])  # at e (no factor) the input's unmutated terms
+        for f in _division_order(w):
+            coeff = divide_exact(coeff, f)
         coeffs[w] = coeff
-        neg = -coeff
-        for sv, points in _support_by_value(w):
-            d = neg * sv
+        for sv, points in _support_by_value(w, idx):
+            d = (coeff * sv)._t
             for j in points:
-                residual[j] = residual[j] + d
-    if any(residual):
-        raise NonzeroResidualError("nonzero residual after full elimination")
-    return ExpansionReport(SchubertExpansion(rs, coeffs), steps)
+                if residual[j] is shared[j]:
+                    residual[j] = dict(shared[j])
+                _add_terms(residual[j], d, -1)
+        if residual[idx]:
+            raise NonzeroResidualError(f"residual survives at {w!r}")
+    return ExpansionReport(SchubertExpansion(rs, coeffs), len(coeffs))
 
 
-def _support_by_value(w: WeylElement) -> list[tuple[Polynomial, list[int]]]:
-    """The support of ``S_w`` (the points ``v >= w``) grouped by value; memoized."""
+def _division_order(w: WeylElement) -> list[tuple[int, ...]]:
+    """The bottom factors of ``w``, most nonzero coordinates first; memoized."""
+    cache = w.rs.cache("division_order")
+    got = cache.get(w)
+    if got is None:
+        coords = [beta.coords for beta in bottom_factors(w)]
+        got = cache[w] = sorted(coords, key=lambda f: -sum(map(bool, f)))
+    return got
+
+
+def _support_by_value(w: WeylElement, idx: int) -> list[tuple[Polynomial, list[int]]]:
+    """The support of ``S_w`` grouped by value; memoized once ``S_w`` is checked
+    to vanish below ``w``'s index ``idx``, the points elimination must not touch."""
     cache = w.rs.cache("schubert_by_value")
     got = cache.get(w)
     if got is None:
+        values = schubert_class(w).values
+        if any(values[:idx]):
+            raise NonzeroResidualError(f"S_{w!r} is nonzero below its own index {idx}")
         groups: dict[Polynomial, list[int]] = {}
-        for j, sv in enumerate(schubert_class(w).values):
+        for j, sv in enumerate(values):
             if sv:
                 groups.setdefault(sv, []).append(j)
         got = cache[w] = list(groups.items())

@@ -113,6 +113,18 @@ def _checked(rank: int, terms: dict[int, int]) -> "Polynomial":
     return _make(rank, terms)
 
 
+def _add_terms(out: dict[int, int], terms: dict[int, int], sign: int = 1) -> dict[int, int]:
+    """Add ``sign * terms`` into the packed terms ``out`` in place; returns ``out``."""
+    get = out.get
+    for e, c in terms.items():
+        s = get(e, 0) + sign * c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
 def _linear_units(coords, rank: int) -> list[tuple[int, int]]:
     """A linear form as (packed variable, coefficient) pairs, zeros left out."""
     coords = _as_coords(coords)
@@ -230,15 +242,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._t)
-        get = out.get
-        for e, c in other._t.items():
-            s = get(e, 0) + sign * c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return _make(self.rank, out)
+        return _make(self.rank, _add_terms(dict(self._t), other._t, sign))
 
     def __add__(self, other) -> "Polynomial":
         return self._merge(other, 1)

@@ -34,6 +34,7 @@ test suite).  Memo fills are idempotent, so concurrent readers are fine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from .billey import base_constant
@@ -77,6 +78,10 @@ class TraceNode:
     value: Polynomial
 
 
+_MEMO_NAMES = {False: "constants[drop=False]", True: "constants[drop=True]"}
+_zero = cache(Polynomial.zero)  # one shared zero per rank; polynomials are immutable
+
+
 def _sort_key(w: WeylElement):
     # any fixed order of the memo pair will do; the weight needs no matrix
     return (w.length, w.x)
@@ -113,14 +118,14 @@ def structure_constant(
     rs = w.rs
     if v.rs is not rs or u.rs is not rs:
         raise ValueError("elements of different root systems")
-    memo = rs.cache(f"constants[drop={drop_equivariant}]")
+    memo = rs.cache(_MEMO_NAMES[bool(drop_equivariant)])
     if first_r is None:
         return _compute(rs, w, v, u, drop_equivariant, memo)
     return _compute(rs, w, v, u, drop_equivariant, memo, first_r=first_r)
 
 
 def _compute(rs, w, v, u, drop, memo, first_r=None):
-    zero = Polynomial.zero(rs.rank)
+    zero = _zero(rs.rank)
     if _fast_zero(w, v, u):
         return zero
     if first_r is None:
@@ -192,7 +197,7 @@ def _trace(rs, w, v, u, drop, nodes, first_r=None):
         got = nodes.get(key)
         if got is not None:
             return got
-    zero = Polynomial.zero(rs.rank)
+    zero = _zero(rs.rank)
     one = Polynomial.one(rs.rank)
     nroots = len(rs.positive_roots)
     if _fast_zero(w, v, u):

@@ -209,11 +209,6 @@ class WeylElement:
         self.rs._check_index(i)
         return self.x[i - 1] > 0
 
-    def left_ascent(self, i: int) -> bool:
-        """True iff l(r_i * w) > l(w)."""
-        self.rs._check_index(i)
-        return self.inverse().x[i - 1] > 0
-
     def right_descents(self) -> list[int]:
         return [k + 1 for k, c in enumerate(self.x) if c < 0]
 
@@ -558,6 +553,9 @@ def named(label: str) -> RootSystem:
 def perm_to_element(rs: RootSystem, oneline) -> WeylElement:
     """Element of a type A system from one-line notation (values 1..n).
 
+    Read off the word: ``x_i = <rho, w(alpha_i)_check> = w(i+1) - w(i)``, the
+    signed height of ``y_{w(i+1)} - y_{w(i)}``, and the length counts inversions.
+
     >>> W = named("A3")
     >>> perm_to_element(W, (2, 4, 1, 3)).length
     3
@@ -568,22 +566,9 @@ def perm_to_element(rs: RootSystem, oneline) -> WeylElement:
     perm = tuple(int(x) for x in oneline)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"{oneline!r} is not a permutation of 1..{n}")
-    # bubble the word down to the identity, recording the right descents used
-    work = list(perm)
-    letters = []
-    sorting = True
-    while sorting:
-        sorting = False
-        for i in range(n - 1):
-            if work[i] > work[i + 1]:
-                work[i], work[i + 1] = work[i + 1], work[i]
-                letters.append(i + 1)
-                sorting = True
-                break
-    w = rs.identity
-    for i in reversed(letters):
-        w = w * rs.simple_reflection(i)
-    return w
+    x = tuple(b - a for a, b in zip(perm, perm[1:]))
+    inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
+    return rs._element(x, inversions)
 
 
 def word_to_element(rs: RootSystem, word) -> WeylElement:
@@ -664,6 +649,7 @@ def coeff_pairing(rs: RootSystem, alpha: Root, beta: Root) -> int:
     """The integer c with ``alpha - r_beta(alpha) = c * beta``.
 
     ``alpha`` must be simple and ``beta`` positive.  Zero is a legal value.
+    Memoized per group for valid pairs only, so bad input raises every time.
 
     >>> W = named("A2")
     >>> coeff_pairing(W, W.simple_root(1), W.simple_root(1))
@@ -671,17 +657,22 @@ def coeff_pairing(rs: RootSystem, alpha: Root, beta: Root) -> int:
     >>> coeff_pairing(W, W.simple_root(1), W.simple_root(2))
     -1
     """
-    if sorted(alpha.coords) != [0] * (rs.rank - 1) + [1]:
-        raise ValueError(f"{alpha!r} is not a simple root")
-    if beta not in rs._root_index:
-        raise ValueError(f"{beta!r} is not a positive root of this system")
-    image = rs.reflection(beta).act_coords(alpha.coords)
-    diff = tuple(a - b for a, b in zip(alpha.coords, image))
-    k = next(i for i, c in enumerate(beta.coords) if c)
-    q, rem = divmod(diff[k], beta.coords[k])
-    if rem or any(d != q * b for d, b in zip(diff, beta.coords)):
-        raise ArithmeticError("alpha - r_beta(alpha) is not an integer multiple of beta")
-    return q
+    cache = rs.cache("coeff_pairing")
+    key = (alpha.coords, beta.coords)
+    got = cache.get(key)
+    if got is None:
+        if sorted(alpha.coords) != [0] * (rs.rank - 1) + [1]:
+            raise ValueError(f"{alpha!r} is not a simple root")
+        if beta not in rs._root_index:
+            raise ValueError(f"{beta!r} is not a positive root of this system")
+        image = rs.reflection(beta).act_coords(alpha.coords)
+        diff = tuple(a - b for a, b in zip(alpha.coords, image))
+        k = next(i for i, c in enumerate(beta.coords) if c)
+        got, rem = divmod(diff[k], beta.coords[k])
+        if rem or any(d != got * b for d, b in zip(diff, beta.coords)):
+            raise ArithmeticError("alpha - r_beta(alpha) is not an integer multiple of beta")
+        cache[key] = got
+    return got
 
 
 def cartan_pairing(rs: RootSystem, gamma: Root, beta: Root) -> int:

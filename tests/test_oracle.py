@@ -13,6 +13,7 @@ from schubertcalc import (
     Polynomial,
     SchubertExpansion,
     bottom_factors,
+    bottom_restriction,
     chern_class,
     coeff_pairing,
     covers,
@@ -227,16 +228,62 @@ def pointwise(p, q):
 
 
 def test_expansion_matches_naive_elimination():
+    """The reference divides in canonical order and updates one point at a time,
+    so it also guards the division order and the in-place residuals."""
     rng = random.Random(5)
-    for label in ("A3", "B2", "G2", "B3"):
+    for label in ("A3", "B2", "G2", "C3", "B3", "A4"):
         rs = named(label)
         pairs = list(itertools.combinations_with_replacement(rs.elements(), 2))
-        if label == "B3":
+        if label in ("B3", "A4"):
             pairs = rng.sample(pairs, 100)
         for w, v in pairs:
             report = expand_in_schubert(schubert_class(w) * schubert_class(v))
             expect, steps = naive_expansion(pointwise(schubert_class(w), schubert_class(v)))
             assert (report.expansion, report.steps) == (expect, steps), (label, w, v)
+
+
+def test_division_order_is_a_permutation_of_the_bottom_factors():
+    for label in ("A3", "B3", "G2"):
+        rs = named(label)
+        for w in rs.elements():
+            order = oracle_mod._division_order(w)
+            assert sorted(order) == sorted(beta.coords for beta in bottom_factors(w))
+            got = Polynomial.one(rs.rank)
+            for f in order:
+                got = got.times_linear(f)
+            assert got == bottom_restriction(w), (label, w)
+            density = [sum(map(bool, f)) for f in order]
+            assert density == sorted(density, reverse=True)
+
+
+def expand_against_planted(w_digits, corrupt):
+    """Expand the true ``S_w`` of a fresh A2 after replacing the cached class of
+    ``w`` by ``corrupt(values, index of w)``."""
+    rs = named("A2")
+    w = perm(rs, w_digits)
+    genuine = schubert_class(w)
+    values = list(genuine.values)
+    rs.cache("schubert")[w] = GkmClass(rs, corrupt(values, rs.element_index(w)))
+    return expand_in_schubert(genuine)
+
+
+def test_class_nonzero_below_its_element_is_rejected():
+    def below(values, k):
+        values[k - 1] = values[k]
+        return values
+
+    with pytest.raises(NonzeroResidualError):
+        expand_against_planted("231", below)
+
+
+def test_class_with_wrong_bottom_value_is_rejected():
+    def doubled(values, k):
+        values[k] = values[k].scale(2)
+        return values
+
+    with pytest.raises(NonzeroResidualError):
+        expand_against_planted("231", doubled)
+    assert expand_against_planted("231", lambda values, k: values).steps == 1
 
 
 def test_class_product_multiplies_each_distinct_value_pair_once(s4, monkeypatch):

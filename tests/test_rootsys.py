@@ -157,6 +157,25 @@ def test_lengths_match_inversions_s4(s4):
         assert w.inverse().length == w.length
 
 
+def bubble_sort_route(rs, oneline):
+    """Bubble the word down to the identity, then multiply the letters back up."""
+    work, letters = list(oneline), []
+    while any(a > b for a, b in zip(work, work[1:])):
+        i = next(k for k in range(len(work) - 1) if work[k] > work[k + 1])
+        work[i], work[i + 1] = work[i + 1], work[i]
+        letters.append(i + 1)
+    return word_to_element(rs, reversed(letters))
+
+
+def test_perm_to_element_matches_bubble_sort_route():
+    for n in range(1, 6):  # every permutation of S_2 .. S_6
+        rs = named(f"A{n}")
+        for oneline in itertools.permutations(range(1, n + 2)):
+            w = perm_to_element(rs, oneline)
+            assert w is bubble_sort_route(rs, oneline), oneline
+            assert w.length == inversions(oneline) and w.one_line() == oneline
+
+
 def test_length_known_values(s3, s4):
     assert s3.identity.length == 0
     assert perm(s3, "321").length == 3
@@ -317,9 +336,25 @@ def test_pairing_straddle_rule_on_s4_covers(s4):
 def test_pairing_agrees_with_coroot_route():
     for label in ("A3", "B2", "C3", "G2", "F4"):
         rs = named(label)
+        for _ in range(2):  # the second pass reads the memo
+            for alpha in rs.simple_roots:
+                for beta in rs.positive_roots:
+                    assert coeff_pairing(rs, alpha, beta) == cartan_pairing(rs, alpha, beta)
+        assert len(rs.cache("coeff_pairing")) == rs.rank * len(rs.positive_roots)
+
+
+def test_pairing_memo_keeps_rejecting_bad_input():
+    for label in ("A3", "B3", "G2"):
+        rs = named(label)
         for alpha in rs.simple_roots:
-            for beta in rs.positive_roots:
-                assert coeff_pairing(rs, alpha, beta) == cartan_pairing(rs, alpha, beta)
+            coeff_pairing(rs, alpha, alpha)
+        highest = rs.positive_roots[-1]
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                coeff_pairing(rs, highest, rs.simple_root(1))
+            with pytest.raises(ValueError):
+                coeff_pairing(rs, rs.simple_root(1), -highest)
+        assert len(rs.cache("coeff_pairing")) == rs.rank
 
 
 # -- enumeration -----------------------------------------------------------------------
