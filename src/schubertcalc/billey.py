@@ -37,7 +37,7 @@ All functions are pure; per-group memo tables are filled idempotently.
 from __future__ import annotations
 
 from .polyring import Polynomial
-from .rootsys import Root, WeylElement, bruhat_leq, word_to_element
+from .rootsys import Root, WeylElement, _first_negative, bruhat_leq, word_to_element
 from .gkm import GkmClass
 
 __all__ = [
@@ -50,20 +50,20 @@ __all__ = [
 ]
 
 
-def _extend(acc: dict, prefix: WeylElement, i: int, keep=None) -> dict:
-    """The column at ``prefix * r_i > prefix``, from the column ``acc`` at ``prefix``.
+def _extend(acc: dict, prefix: WeylElement, k: int, keep=None) -> dict:
+    """The column at ``prefix * r_{k+1} > prefix``, from the column ``acc`` at ``prefix``.
 
     ``keep`` optionally prunes the new states (a predicate on elements).
     """
     rs = prefix.rs
-    r = rs.simple_reflection(i)
-    factor = Polynomial.linear(prefix.act(rs.simple_root(i)).coords)
+    factor = Polynomial.linear(prefix.act(rs.simple_roots[k]).coords)
     zero = Polynomial.zero(rs.rank)
     nxt = dict(acc)
     for p, poly in acc.items():
-        q = p * r
-        if q.length == p.length + 1 and (keep is None or keep(q)):
-            nxt[q] = nxt.get(q, zero).addmul(poly, factor)
+        if p.x[k] > 0:  # p * r_{k+1} > p
+            q = p._step(k)
+            if keep is None or keep(q):
+                nxt[q] = nxt.get(q, zero).addmul(poly, factor)
     return nxt
 
 
@@ -77,8 +77,8 @@ def _billey_pass(w: WeylElement, keep=None, word=None) -> dict[WeylElement, Poly
     acc = {rs.identity: Polynomial.one(rs.rank)}
     prefix = rs.identity
     for i in w.reduced_word() if word is None else word:
-        acc = _extend(acc, prefix, i, keep)
-        prefix = prefix * rs.simple_reflection(i)
+        acc = _extend(acc, prefix, i - 1, keep)
+        prefix = prefix._step(i - 1)
     return acc
 
 
@@ -119,13 +119,13 @@ def restrict_all(w: WeylElement) -> dict[WeylElement, Polynomial]:
         cache[rs.identity] = {rs.identity: Polynomial.one(rs.rank)}
     letters, u = [], w
     while u not in cache:  # the canonical word of u ends in its least descent
-        i = u.right_descents()[0]
-        letters.append(i)
-        u = u * rs.simple_reflection(i)
+        k = _first_negative(u.x)
+        letters.append(k)
+        u = u._step(k)
     col = cache[u]
-    for i in reversed(letters):
-        col = _extend(col, u, i)
-        u = u * rs.simple_reflection(i)
+    for k in reversed(letters):
+        col = _extend(col, u, k)
+        u = u._step(k)
         cache[u] = col
     return col
 

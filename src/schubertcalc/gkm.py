@@ -24,6 +24,7 @@ independent, so results never depend on evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import MixedRootSystemsError
 from .polyring import Polynomial, act, divide_exact, is_divisible, poly_from_json, poly_to_json
@@ -45,6 +46,8 @@ __all__ = [
     "class_to_json",
     "class_from_json",
 ]
+
+_zero = cache(Polynomial.zero)  # one shared zero per rank; polynomials are immutable
 
 
 class GkmClass:
@@ -151,7 +154,7 @@ class SchubertExpansion:
         self.coeffs = {u: c for u, c in self.coeffs.items() if not c.is_zero()}
 
     def coeff(self, u: WeylElement) -> Polynomial:
-        return self.coeffs.get(u, Polynomial.zero(self.rs.rank))
+        return self.coeffs.get(u, _zero(self.rs.rank))
 
     def items(self) -> list[tuple[WeylElement, Polynomial]]:
         return sorted(self.coeffs.items(), key=lambda t: self.rs.element_index(t[0]))

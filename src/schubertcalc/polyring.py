@@ -426,14 +426,18 @@ def is_divisible(p: Polynomial, f: Sequence[int] | LinearForm) -> bool:
 
 def _substitute(p: Polynomial, images, rank: int) -> Polynomial:
     """``p`` with variable ``j`` replaced by the linear form ``images[j]``."""
-    out = Polynomial.zero(rank)
-    for e, c in p.terms.items():
-        term = Polynomial.integer(rank, c)
-        for j, x in enumerate(e):
-            for _ in range(x):
-                term = term.times_linear(images[j])
-        out = out + term
-    return out
+    powers: dict[tuple[int, int], Polynomial] = {}  # (j, x) -> images[j] ** x
+    out: dict[int, int] = {}
+    for e, c in p._t.items():
+        image = Polynomial.one(rank)
+        for j, x in enumerate(_unpack(e, p.rank)):
+            if x:
+                power = powers.get((j, x))
+                if power is None:
+                    power = powers[j, x] = Polynomial.linear(images[j]) ** x
+                image = image * power
+        _add_terms(out, image._t, c)
+    return _checked(rank, out)
 
 
 def _to_y(p: Polynomial) -> Polynomial:

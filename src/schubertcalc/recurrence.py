@@ -34,12 +34,11 @@ test suite).  Memo fills are idempotent, so concurrent readers are fine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple
 
 from .billey import base_constant
 from .errors import DimensionMismatchError, EngineMismatchError
-from .gkm import SchubertExpansion
+from .gkm import SchubertExpansion, _zero
 from .polyring import Polynomial, render
 from .rootsys import RootSystem, WeylElement, bruhat_leq, coeff_pairing, covers
 
@@ -79,7 +78,6 @@ class TraceNode:
 
 
 _MEMO_NAMES = {False: "constants[drop=False]", True: "constants[drop=True]"}
-_zero = cache(Polynomial.zero)  # one shared zero per rank; polynomials are immutable
 
 
 def _sort_key(w: WeylElement):
@@ -87,11 +85,13 @@ def _sort_key(w: WeylElement):
     return (w.length, w.x)
 
 
-def _least_ascent(w: WeylElement) -> int | None:
-    for i in range(1, w.rs.rank + 1):
-        if w.right_ascent(i):
-            return i
-    return None
+def _ascent(w: WeylElement, first_r: int | None) -> int:
+    # 0-based: first_r once checked to be an ascent of w, else w's least ascent
+    if first_r is None:
+        return next(k for k, c in enumerate(w.x) if c > 0)
+    if not w.right_ascent(first_r):
+        raise ValueError(f"first_r={first_r} is not an ascent of {w!r}")
+    return first_r - 1
 
 
 def _fast_zero(w, v, u) -> bool:
@@ -119,9 +119,7 @@ def structure_constant(
     if v.rs is not rs or u.rs is not rs:
         raise ValueError("elements of different root systems")
     memo = rs.cache(_MEMO_NAMES[bool(drop_equivariant)])
-    if first_r is None:
-        return _compute(rs, w, v, u, drop_equivariant, memo)
-    return _compute(rs, w, v, u, drop_equivariant, memo, first_r=first_r)
+    return _compute(rs, w, v, u, drop_equivariant, memo, first_r)
 
 
 def _compute(rs, w, v, u, drop, memo, first_r=None):
@@ -137,21 +135,18 @@ def _compute(rs, w, v, u, drop, memo, first_r=None):
     if w.length == nroots:  # w = w0; support test already forced u = w0
         got = base_constant(v) if u.length == nroots else zero
     else:
-        r_idx = first_r if first_r is not None else _least_ascent(w)
-        if not w.right_ascent(r_idx):
-            raise ValueError(f"first_r={r_idx} is not an ascent of {w!r}")
-        r = rs.simple_reflection(r_idx)
-        va = v.right_ascent(r_idx)
-        ua = u.right_ascent(r_idx)
+        k = _ascent(w, first_r)
+        va = v.x[k] > 0
+        ua = u.x[k] > 0
         if va and not ua:
             got = zero
         elif not va and not ua:
-            got = _compute(rs, w * r, v * r, u, drop, memo)
+            got = _compute(rs, w._step(k), v._step(k), u, drop, memo)
         elif va and ua:
-            got = _compute(rs, w * r, v, u * r, drop, memo)
+            got = _compute(rs, w._step(k), v, u._step(k), drop, memo)
         else:
-            alpha = rs.simple_root(r_idx)
-            wr, vr, ur = w * r, v * r, u * r
+            alpha = rs.simple_roots[k]
+            wr, vr, ur = w._step(k), v._step(k), u._step(k)
             got = _compute(rs, wr, v, ur, drop, memo)
             got = got + _compute(rs, wr, vr, u, drop, memo)
             ordinary = u.length == w.length + v.length
@@ -160,7 +155,7 @@ def _compute(rs, w, v, u, drop, memo, first_r=None):
                 if not eq.is_zero():
                     got = got - Polynomial.linear(w.act(alpha).coords) * eq
             for wp, beta in covers(w):
-                if wp == wr:
+                if wp is wr:
                     continue
                 m = coeff_pairing(rs, alpha, beta)
                 if m:
@@ -206,23 +201,21 @@ def _trace(rs, w, v, u, drop, nodes, first_r=None):
         val = base_constant(v) if u.length == nroots else zero
         node = TraceNode(key, "base", None, [], val)
     else:
-        r_idx = first_r if first_r is not None else _least_ascent(w)
-        if not w.right_ascent(r_idx):
-            raise ValueError(f"first_r={r_idx} is not an ascent of {w!r}")
-        r = rs.simple_reflection(r_idx)
-        va = v.right_ascent(r_idx)
-        ua = u.right_ascent(r_idx)
+        k = _ascent(w, first_r)
+        r_idx = k + 1
+        va = v.x[k] > 0
+        ua = u.x[k] > 0
         if va and not ua:
             node = TraceNode(key, "dc-trivial", r_idx, [], zero)
         elif not va and not ua:
-            child = _trace(rs, w * r, v * r, u, drop, nodes)
+            child = _trace(rs, w._step(k), v._step(k), u, drop, nodes)
             node = TraceNode(key, "dc-cycle-A", r_idx, [(one, child)], child.value)
         elif va and ua:
-            child = _trace(rs, w * r, v, u * r, drop, nodes)
+            child = _trace(rs, w._step(k), v, u._step(k), drop, nodes)
             node = TraceNode(key, "dc-cycle-B", r_idx, [(one, child)], child.value)
         else:
-            alpha = rs.simple_root(r_idx)
-            wr, vr, ur = w * r, v * r, u * r
+            alpha = rs.simple_roots[k]
+            wr, vr, ur = w._step(k), v._step(k), u._step(k)
             children = [
                 (one, _trace(rs, wr, v, ur, drop, nodes)),
                 (one, _trace(rs, wr, vr, u, drop, nodes)),
@@ -232,7 +225,7 @@ def _trace(rs, w, v, u, drop, nodes, first_r=None):
                 weight = -Polynomial.linear(w.act(alpha).coords)
                 children.append((weight, _trace(rs, w, vr, u, drop, nodes)))
             for wp, beta in covers(w):
-                if wp == wr:
+                if wp is wr:
                     continue
                 m = coeff_pairing(rs, alpha, beta)
                 if m:

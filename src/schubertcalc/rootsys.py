@@ -12,7 +12,9 @@ fundamental-weight coordinates (Casselman's representation), which gives
 one uniform code path for every finite type: ``w * r_i`` is
 ``x - x_i * alpha_i`` with ``alpha_i`` written in weights (column ``i`` of
 ``A``), ``i`` is a right descent exactly when ``x_i < 0``, and lengths move
-by one with each such step.  Nothing here needs the whole group: ``w_0``
+by one with each such step.  The hot walks (Bruhat comparison, the
+recurrence, Billey passes) step on ``x`` this way rather than multiplying
+by one-letter words.  Nothing here needs the whole group: ``w_0``
 is the element with ``x = -rho`` and ``|W|`` comes from the root heights,
 so only :meth:`RootSystem.elements` enumerates.  The matrix of ``w`` on
 the simple-root basis (column ``j`` is ``w(alpha_j)``) is built on first
@@ -264,13 +266,6 @@ def _first_negative(x: tuple[int, ...]) -> int:
     raise ValueError("the identity has no right descent")
 
 
-def _first_nonzero(v: tuple[int, ...]) -> int:
-    for k, c in enumerate(v):
-        if c:
-            return k
-    raise ValueError("zero vector is not a root image")
-
-
 class RootSystem:
     """A finite root system with its Weyl group machinery.
 
@@ -285,18 +280,18 @@ class RootSystem:
         self.simple_roots = [
             Root(tuple(int(i == j) for j in range(self.rank))) for i in range(self.rank)
         ]
+        # alpha_k in fundamental-weight coordinates is column k of the Cartan matrix
+        self._alpha_weights = [tuple(row[k] for row in cartan) for k in range(self.rank)]
         self._close_roots(max_roots)
         self._root_index = {r: k for k, r in enumerate(self.positive_roots)}
         self._order = _weyl_order(self.positive_roots)
-        # alpha_k in fundamental-weight coordinates is column k of the Cartan matrix
-        self._alpha_weights = [tuple(row[k] for row in cartan) for k in range(self.rank)]
         self._pool: dict[tuple[int, ...], WeylElement] = {}
         self.identity = self._element((1,) * self.rank, 0)
         self.identity._word = ()
         self.identity._mat = _identity_mat(self.rank)
         self._simple_refl = [self.identity._step(k) for k in range(self.rank)]
         self._refl_elements: dict[int, WeylElement] = {}
-        self.caches: dict[str, dict] = {}
+        self.caches: dict[str, dict] = {"bruhat": {}}
 
     # -- construction ------------------------------------------------------
 
@@ -315,25 +310,9 @@ class RootSystem:
                     if (A[i][j] == 0) != (A[j][i] == 0):
                         raise ValueError("Cartan zero pattern must be symmetric")
 
-    def _reflect_coords(self, i: int, coords: tuple[int, ...]) -> tuple[int, ...]:
-        # r_i(x) = x - <x, alpha_i_check> alpha_i, 1-based i
-        A = self.cartan
-        k = i - 1
-        pairing = sum(A[k][j] * coords[j] for j in range(self.rank))
-        out = list(coords)
-        out[k] -= pairing
-        return tuple(out)
-
-    def _coreflect_coords(self, i: int, coords: tuple[int, ...]) -> tuple[int, ...]:
-        # the same reflection on coroot coordinates uses the transposed Cartan row
-        A = self.cartan
-        k = i - 1
-        pairing = sum(A[j][k] * coords[j] for j in range(self.rank))
-        out = list(coords)
-        out[k] -= pairing
-        return tuple(out)
-
     def _close_roots(self, max_roots: int):
+        # r_k(x) = x - <x, alpha_k_check> alpha_k moves coordinate k alone; on coroot
+        # coordinates the pairing uses column k of the Cartan matrix instead of row k
         n = self.rank
         start = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         info: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[tuple[int, ...], int] | None]] = {
@@ -343,17 +322,20 @@ class RootSystem:
         while frontier:
             new_frontier = []
             for coords in frontier:
-                for i in range(1, n + 1):
-                    img = self._reflect_coords(i, coords)
-                    neg = all(c <= 0 for c in img)
-                    pos = all(c >= 0 for c in img)
-                    if not (neg or pos):
-                        raise NonFiniteTypeError("Cartan data does not generate a consistent root system")
-                    if neg:
+                height = sum(coords)
+                for k, row in enumerate(self.cartan):
+                    c = coords[k] - sum(a * x for a, x in zip(row, coords))
+                    # the image is negative only for a multiple of alpha_k, and of
+                    # mixed sign if any other coordinate is left
+                    if c < 0:
+                        if coords[k] != height:
+                            raise NonFiniteTypeError("Cartan data does not generate a consistent root system")
                         continue
+                    img = coords[:k] + (c,) + coords[k + 1:]
                     if img not in info:
-                        coroot = self._coreflect_coords(i, info[coords][0])
-                        info[img] = (coroot, (coords, i))
+                        co = info[coords][0]
+                        d = co[k] - sum(a * x for a, x in zip(self._alpha_weights[k], co))
+                        info[img] = (co[:k] + (d,) + co[k + 1:], (coords, k + 1))
                         new_frontier.append(img)
                         if len(info) > max_roots:
                             raise NonFiniteTypeError(
@@ -398,7 +380,7 @@ class RootSystem:
         if w is None:
             parent = self._root_parent[beta]
             if parent is None:
-                w = self._simple_refl[_first_nonzero(beta.coords)]
+                w = self._simple_refl[beta.coords.index(1)]  # a simple root
             else:
                 coords, i = parent
                 r = self._simple_refl[i - 1]
@@ -601,7 +583,11 @@ def covers(w: WeylElement) -> list[tuple[WeylElement, Root]]:
 
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    """Strong Bruhat order, by the lifting-property recursion.
+    """Strong Bruhat order, by the lifting property (Bjorner-Brenti, GTM 231, 2.2.7).
+
+    For the least descent ``k`` of ``w`` (its first ``x[k] < 0``), ``v <= w``
+    iff ``v' <= w r_k``, with ``v' = v r_k`` if ``k`` is a descent of ``v``, else ``v``.
+    Pairs with ``l(v) >= l(w)`` or ``l(v) = 0`` skip the per-group table.
 
     >>> W = named("A2")
     >>> bruhat_leq(W.identity, W.longest_element())
@@ -609,23 +595,28 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     """
     if v.rs is not w.rs:
         raise MixedRootSystemsError("cannot compare elements of different root systems")
-    rs = v.rs
-    cache = rs.cache("bruhat")
-    key = (v, w)
-    got = cache.get(key)
+    if v.length >= w.length:
+        return v is w
+    if v.length == 0:
+        return True
+    table = v.rs.caches["bruhat"]
+    got = table.get((v, w))
     if got is None:
-        if v.length > w.length:
-            got = False
-        elif v is w or v.length == 0:
-            got = True
-        else:
-            i = min(w.right_descents())
-            r = rs.simple_reflection(i)
-            if not v.right_ascent(i):
-                got = bruhat_leq(v * r, w * r)
+        chain = []
+        while got is None:
+            chain.append((v, w))
+            k = _first_negative(w.x)
+            if v.x[k] < 0:
+                v = v._step(k)
+            w = w._step(k)
+            if v.length >= w.length:
+                got = v is w
+            elif v.length == 0:
+                got = True
             else:
-                got = bruhat_leq(v, w * r)
-        cache[key] = got
+                got = table.get((v, w))
+        for key in chain:
+            table[key] = got
     return got
 
 

@@ -5,6 +5,7 @@ straight from the reflection formula, inversion counting for type A
 lengths, and brute-force subword enumeration for Bruhat comparisons.
 """
 
+import functools
 import itertools
 
 import pytest
@@ -61,8 +62,9 @@ def inversions(oneline):
     )
 
 
-def brute_bruhat_leq(v, w):
-    """v <= w iff some subword of one reduced word of w multiplies to v reducedly."""
+@functools.cache
+def subword_products(w):
+    """Every element that some reduced subword of one reduced word of ``w`` multiplies to."""
     word = w.reduced_word()
     rs = w.rs
     seen = set()
@@ -78,7 +80,12 @@ def brute_bruhat_leq(v, w):
                 x = y
             if ok:
                 seen.add(x)
-    return v in seen
+    return frozenset(seen)
+
+
+def brute_bruhat_leq(v, w):
+    """v <= w iff some subword of one reduced word of w multiplies to v reducedly."""
+    return v in subword_products(w)
 
 
 # -- construction ---------------------------------------------------------------
@@ -120,6 +127,22 @@ def test_named_rejects_unknown():
 def test_affine_input_is_rejected():
     with pytest.raises(NonFiniteTypeError):
         build([[2, -2], [-2, 2]])
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [
+        [[2, -2], [-2, 2]],  # affine A1
+        [[2, -4], [-1, 2]],  # affine A2 twisted
+        [[2, -3], [-3, 2]],  # hyperbolic
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2
+    ],
+)
+def test_non_finite_input_names_the_root_closure(cartan):
+    with pytest.raises(NonFiniteTypeError, match="exceeded 200 roots; the Cartan matrix is not of finite type"):
+        build(cartan, max_roots=200)
+    with pytest.raises(NonFiniteTypeError):
+        build(cartan)
 
 
 def test_group_bound_is_enforced():
@@ -261,6 +284,41 @@ def test_bruhat_against_subword_oracle(s4):
     for v in elements:
         for w in elements:
             assert bruhat_leq(v, w) == brute_bruhat_leq(v, w)
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "G2"])
+def test_bruhat_against_subword_oracle_beyond_simply_laced(label):
+    # the recursion reads signs of x = w^-1(rho), whose entries grow with the
+    # Cartan data off type A; every pair is checked on fresh groups
+    elements = named(label).elements()
+    for w in elements:
+        for v in elements:
+            assert bruhat_leq(v, w) == brute_bruhat_leq(v, w)
+
+
+def test_trivial_bruhat_pairs_leave_the_table_alone():
+    rs = named("B2")  # fresh, so the table starts empty
+    table = rs.caches["bruhat"]
+    elements = rs.elements()
+    for v in elements:
+        for w in elements:
+            if v.length >= w.length or v.length == 0:
+                assert bruhat_leq(v, w) == (v is w or v.length < w.length)
+    assert table == {}
+    assert bruhat_leq(rs.simple_reflection(1), rs.longest_element())
+    assert table
+
+
+def test_bruhat_rejects_mixed_systems_on_hit_and_miss():
+    from schubertcalc import MixedRootSystemsError
+
+    a2, a2_again = named("A2"), named("A2")
+    v, w = a2.simple_reflection(1), a2_again.longest_element()
+    with pytest.raises(MixedRootSystemsError):  # a miss
+        bruhat_leq(v, w)
+    a2.caches["bruhat"][v, w] = True  # a planted hit must not be served
+    with pytest.raises(MixedRootSystemsError):
+        bruhat_leq(v, w)
 
 
 def test_bruhat_is_partial_order_refining_length(b2):
