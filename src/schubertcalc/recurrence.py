@@ -23,7 +23,11 @@ tree; in the ordinary case ``l(u) = l(w) + l(v)`` the equivariant term is
 dropped by degree (an optimization that is independently tested against
 the undropped path).
 
-A traced variant records every rule application for replay and display.
+The rule is written once (``_rule``): at a triple it names the branch
+and lists the weighted sub-constants it sums.  Two folds walk it: the
+memoized value fold behind ``structure_constant``, and the trace fold
+behind ``trace_constant``, which records every rule application for replay
+and display.
 
 The value memo is keyed per root system and per optimization mode; the
 pair ``(w, v)`` is stored in a canonical order, which is safe because the
@@ -80,15 +84,12 @@ class TraceNode:
 _MEMO_NAMES = {False: "constants[drop=False]", True: "constants[drop=True]"}
 
 
-def _sort_key(w: WeylElement):
-    # any fixed order of the memo pair will do; the weight needs no matrix
-    return (w.length, w.x)
-
-
 def _ascent(w: WeylElement, first_r: int | None) -> int:
     # 0-based: first_r once checked to be an ascent of w, else w's least ascent
     if first_r is None:
-        return next(k for k, c in enumerate(w.x) if c > 0)
+        for k, c in enumerate(w.x):
+            if c > 0:
+                return k
     if not w.right_ascent(first_r):
         raise ValueError(f"first_r={first_r} is not an ascent of {w!r}")
     return first_r - 1
@@ -111,15 +112,51 @@ def structure_constant(
     """The structure constant ``c_{wv}^u`` as a polynomial in the simple roots.
 
     ``first_r`` overrides the reflection choice at this call only (it must
-    be an ascent of ``w``); recursion always uses the least ascent.  With
+    be an ascent of ``w``, and ``ValueError`` is raised when it is outside
+    ``1..rank``); recursion always uses the least ascent.  With
     ``drop_equivariant=False`` the degree-based dropping of the
     equivariant term is disabled; the result is identical.
     """
     rs = w.rs
     if v.rs is not rs or u.rs is not rs:
         raise ValueError("elements of different root systems")
+    if first_r is not None and not 1 <= first_r <= rs.rank:
+        raise ValueError(f"first_r={first_r} is outside 1..{rs.rank}")
     memo = rs.cache(_MEMO_NAMES[bool(drop_equivariant)])
     return _compute(rs, w, v, u, drop_equivariant, memo, first_r)
+
+
+def _rule(rs, w, v, u, drop, first_r):
+    """One application of the recurrence at a triple that is not a fast zero.
+
+    Returns ``(rule, r, leaf, subs)``: the rule name, the 1-based reflection
+    (None at the base), the leaf value (the base value, else zero) and the
+    weighted sub-constants ``(weight, w', v', u')``, in a fixed order, whose
+    sum with the leaf value is the constant.  A weight is an int, or the
+    polynomial ``-(w.alpha)`` of the equivariant term.
+    """
+    zero = _zero(rs.rank)
+    nroots = len(rs.positive_roots)
+    if w.length == nroots:  # w = w0; support test already forced u = w0
+        return "base", None, base_constant(v) if u.length == nroots else zero, ()
+    k = _ascent(w, first_r)
+    if v.x[k] > 0:
+        if u.x[k] > 0:
+            return "dc-cycle-B", k + 1, zero, ((1, w._step(k), v, u._step(k)),)
+        return "dc-trivial", k + 1, zero, ()
+    wr, vr = w._step(k), v._step(k)
+    if not u.x[k] > 0:
+        return "dc-cycle-A", k + 1, zero, ((1, wr, vr, u),)
+    alpha = rs.simple_roots[k]
+    subs = [(1, wr, v, u._step(k)), (1, wr, vr, u)]
+    if not (drop and u.length == w.length + v.length):
+        subs.append((-Polynomial.linear(w.act(alpha).coords), w, vr, u))
+    for wp, beta in covers(w):
+        if wp is not wr:
+            m = coeff_pairing(rs, alpha, beta)
+            if m:
+                subs.append((m, wp, vr, u))
+    return "recurrence", k + 1, zero, subs
 
 
 def _compute(rs, w, v, u, drop, memo, first_r=None):
@@ -127,41 +164,22 @@ def _compute(rs, w, v, u, drop, memo, first_r=None):
     if _fast_zero(w, v, u):
         return zero
     if first_r is None:
-        key = (w, v, u) if _sort_key(w) <= _sort_key(v) else (v, w, u)
+        # any fixed order of the memo pair will do; the weight needs no matrix
+        key = (w, v, u) if (w.length, w.x) <= (v.length, v.x) else (v, w, u)
         got = memo.get(key)
         if got is not None:
             return got
-    nroots = len(rs.positive_roots)
-    if w.length == nroots:  # w = w0; support test already forced u = w0
-        got = base_constant(v) if u.length == nroots else zero
-    else:
-        k = _ascent(w, first_r)
-        va = v.x[k] > 0
-        ua = u.x[k] > 0
-        if va and not ua:
-            got = zero
-        elif not va and not ua:
-            got = _compute(rs, w._step(k), v._step(k), u, drop, memo)
-        elif va and ua:
-            got = _compute(rs, w._step(k), v, u._step(k), drop, memo)
+    _, _, got, subs = _rule(rs, w, v, u, drop, first_r)
+    for weight, a, b, c in subs:
+        term = _compute(rs, a, b, c, drop, memo)
+        if term is zero:  # the shared zero; a zero it misses is added harmlessly
+            continue
+        if type(weight) is not int:
+            got = got.addmul(weight, term)
+        elif weight == 1:
+            got = term if got is zero else got + term
         else:
-            alpha = rs.simple_roots[k]
-            wr, vr, ur = w._step(k), v._step(k), u._step(k)
-            got = _compute(rs, wr, v, ur, drop, memo)
-            got = got + _compute(rs, wr, vr, u, drop, memo)
-            ordinary = u.length == w.length + v.length
-            if not (drop and ordinary):
-                eq = _compute(rs, w, vr, u, drop, memo)
-                if not eq.is_zero():
-                    got = got - Polynomial.linear(w.act(alpha).coords) * eq
-            for wp, beta in covers(w):
-                if wp is wr:
-                    continue
-                m = coeff_pairing(rs, alpha, beta)
-                if m:
-                    term = _compute(rs, wp, vr, u, drop, memo)
-                    if not term.is_zero():
-                        got = got + term.scale(m)
+            got = got + term.scale(weight)
     if first_r is None:
         memo[key] = got
     return got
@@ -182,6 +200,8 @@ def trace_constant(
     rs = w.rs
     if v.rs is not rs or u.rs is not rs:
         raise ValueError("elements of different root systems")
+    if first_r is not None and not 1 <= first_r <= rs.rank:
+        raise ValueError(f"first_r={first_r} is outside 1..{rs.rank}")
     nodes: dict[tuple, TraceNode] = {}
     return _trace(rs, w, v, u, drop_equivariant, nodes, first_r=first_r)
 
@@ -189,53 +209,21 @@ def trace_constant(
 def _trace(rs, w, v, u, drop, nodes, first_r=None):
     key = ConstantKey(w, v, u)
     if first_r is None:
-        got = nodes.get(key)
-        if got is not None:
-            return got
-    zero = _zero(rs.rank)
-    one = Polynomial.one(rs.rank)
-    nroots = len(rs.positive_roots)
+        node = nodes.get(key)
+        if node is not None:
+            return node
     if _fast_zero(w, v, u):
-        node = TraceNode(key, "degree-zero", None, [], zero)
-    elif w.length == nroots:
-        val = base_constant(v) if u.length == nroots else zero
-        node = TraceNode(key, "base", None, [], val)
+        node = TraceNode(key, "degree-zero", None, [], _zero(rs.rank))
     else:
-        k = _ascent(w, first_r)
-        r_idx = k + 1
-        va = v.x[k] > 0
-        ua = u.x[k] > 0
-        if va and not ua:
-            node = TraceNode(key, "dc-trivial", r_idx, [], zero)
-        elif not va and not ua:
-            child = _trace(rs, w._step(k), v._step(k), u, drop, nodes)
-            node = TraceNode(key, "dc-cycle-A", r_idx, [(one, child)], child.value)
-        elif va and ua:
-            child = _trace(rs, w._step(k), v, u._step(k), drop, nodes)
-            node = TraceNode(key, "dc-cycle-B", r_idx, [(one, child)], child.value)
-        else:
-            alpha = rs.simple_roots[k]
-            wr, vr, ur = w._step(k), v._step(k), u._step(k)
-            children = [
-                (one, _trace(rs, wr, v, ur, drop, nodes)),
-                (one, _trace(rs, wr, vr, u, drop, nodes)),
-            ]
-            ordinary = u.length == w.length + v.length
-            if not (drop and ordinary):
-                weight = -Polynomial.linear(w.act(alpha).coords)
-                children.append((weight, _trace(rs, w, vr, u, drop, nodes)))
-            for wp, beta in covers(w):
-                if wp is wr:
-                    continue
-                m = coeff_pairing(rs, alpha, beta)
-                if m:
-                    children.append(
-                        (Polynomial.integer(rs.rank, m), _trace(rs, wp, vr, u, drop, nodes))
-                    )
-            val = zero
-            for weight, child in children:
-                val = val + weight * child.value
-            node = TraceNode(key, "recurrence", r_idx, children, val)
+        rule, r, val, subs = _rule(rs, w, v, u, drop, first_r)
+        children = []
+        for weight, a, b, c in subs:
+            if type(weight) is int:
+                weight = Polynomial.integer(rs.rank, weight)
+            child = _trace(rs, a, b, c, drop, nodes)
+            children.append((weight, child))
+            val = val + weight * child.value
+        node = TraceNode(key, rule, r, children, val)
     if first_r is None:
         nodes[key] = node
     return node
@@ -253,7 +241,8 @@ def replay_trace(node: TraceNode) -> bool:
     def walk(n: TraceNode) -> Polynomial:
         w, v, u = n.key
         if n.rule == "degree-zero":
-            assert _fast_zero(w, v, u)
+            if not _fast_zero(w, v, u):
+                raise AssertionError(f"degree-zero leaf at {n.key} is not a fast zero")
             val = Polynomial.zero(rs.rank)
         elif n.rule == "base":
             val = base_constant(v) if u.length == nroots else Polynomial.zero(rs.rank)
@@ -272,15 +261,9 @@ def replay_trace(node: TraceNode) -> bool:
 
 
 def _key_str(key: ConstantKey, bar: int | None) -> str:
-    rs = key.w.rs
-
     def show(x: WeylElement) -> str:
-        if rs.is_type_a and rs.rank + 1 <= 9:
-            s = "".join(str(d) for d in x.one_line())
-            if bar is not None:
-                s = s[:bar] + "|" + s[bar:]
-            return s
-        return x.describe()
+        s = x.describe()
+        return s if bar is None else s[:bar] + "|" + s[bar:]
 
     return f"c_{{{show(key.w)},{show(key.v)}}}^{{{show(key.u)}}}"
 
@@ -293,7 +276,7 @@ def format_trace(node: TraceNode, basis: str = "alpha", indent: str = "") -> lis
     """
     rs = node.key.w.rs
     type_a = rs.is_type_a and rs.rank + 1 <= 9
-    head = _key_str(node.key, node.chosen_r)
+    head = _key_str(node.key, node.chosen_r if type_a else None)
     if node.chosen_r is not None:
         rtxt = (
             f"r=({node.chosen_r}{node.chosen_r + 1})" if type_a else f"r=s{node.chosen_r}"
@@ -369,11 +352,14 @@ def triple_constant(w: WeylElement, v: WeylElement, u: WeylElement) -> int:
         raise DimensionMismatchError(
             f"lengths {w.length}+{v.length}+{u.length} != {nroots}"
         )
-    val = structure_constant(w, v, rs.longest_element() * u)
-    deg = val.homogeneous_degree()
+    return _integer(structure_constant(w, v, rs.longest_element() * u))
+
+
+def _integer(val: Polynomial) -> int:
+    """An ordinary constant as an int; ``AssertionError`` unless it has degree zero."""
     if val.is_zero():
         return 0
-    if deg != 0:
+    if val.homogeneous_degree() != 0:
         raise AssertionError("ordinary constant is not an integer")
     return val.constant_term()
 
@@ -410,11 +396,7 @@ def ordinary_recurrence_check(
         from .oracle import oracle_constant
 
         def triple(a, b, c):
-            val = oracle_constant(a, b, rs.longest_element() * c)
-            if val.is_zero():
-                return 0
-            assert val.homogeneous_degree() == 0
-            return val.constant_term()
+            return _integer(oracle_constant(a, b, rs.longest_element() * c))
 
     else:
         raise ValueError(f"unknown engine {engine!r}")

@@ -105,6 +105,18 @@ def test_trace_text_and_replay(capsys):
     assert "replay ok: root value = 1" in out
 
 
+@pytest.mark.parametrize(
+    "w,v,u,first_r",
+    [("532164", "132546", "642153", "6"), ("654321", "123456", "654321", "9")],
+)
+def test_trace_first_r_outside_the_rank_is_a_usage_error(capsys, w, v, u, first_r):
+    code, out, err = run(
+        capsys, "trace", "--group", "A5", "--w", w, "--v", v, "--u", u, "--first-r", first_r,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: first_r={first_r} is outside 1..5\n"
+
+
 def test_trace_json(capsys):
     code, out, _ = run(
         capsys, "trace", "--group", "A2", "--w", "231", "--v", "213", "--u", "231",

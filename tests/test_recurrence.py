@@ -5,8 +5,10 @@ import itertools
 import pytest
 
 from schubertcalc import (
+    ConstantKey,
     DimensionMismatchError,
     Polynomial,
+    TraceNode,
     bruhat_leq,
     coeff_pairing,
     covers,
@@ -82,6 +84,21 @@ def test_first_r_descent_cycle(s4):
 def test_first_r_must_be_an_ascent(s4):
     with pytest.raises(ValueError):
         structure_constant(perm(s4, "2134"), perm(s4, "1234"), perm(s4, "2134"), first_r=1)
+
+
+@pytest.mark.parametrize("fn", [structure_constant, trace_constant])
+@pytest.mark.parametrize(
+    "w,v,u",
+    [
+        ("532164", "132546", "642153"),  # the worked S_6 example
+        ("654321", "123456", "654321"),  # w = w0: the base case
+        ("123456", "123456", "654321"),  # a fast zero
+    ],
+)
+@pytest.mark.parametrize("first_r", [0, -1, 6, 9])
+def test_first_r_outside_the_rank_is_refused(s6, fn, w, v, u, first_r):
+    with pytest.raises(ValueError, match="outside 1..5"):
+        fn(perm(s6, w), perm(s6, v), perm(s6, u), first_r=first_r)
 
 
 # -- global identities -----------------------------------------------------------------
@@ -214,6 +231,57 @@ def test_trace_replay_and_format(s3):
     assert any("base" in line for line in lines)
 
 
+def test_golden_trace_worked_example_s4(s4):
+    node = trace_constant(perm(s4, "1234"), perm(s4, "2413"), perm(s4, "2413"), first_r=2)
+    assert format_trace(node, "y") == [
+        "c_{12|34,24|13}^{24|13} -> dc-cycle-A r=(23) = 1",
+        "  +1 * c_{1|324,2|143}^{2|413} -> recurrence r=(12) = 1",
+        "    +1 * c_{31|24,21|43}^{42|13} -> dc-trivial r=(23) = 0",
+        "    +1 * c_{3124,1243}^{2413} -> degree-zero = 0",
+        "    -1 * c_{1|423,1|243}^{2|413} -> dc-cycle-B r=(12) = 0",
+        "      +1 * c_{41|23,12|43}^{42|13} -> dc-trivial r=(23) = 0",
+        "    +1 * c_{2|314,1|243}^{2|413} -> dc-cycle-B r=(12) = 1",
+        "      +1 * c_{321|4,124|3}^{421|3} -> recurrence r=(34) = 1",
+        "        +1 * c_{32|41,12|43}^{42|31} -> dc-cycle-B r=(23) = 0",
+        "          +1 * c_{3|421,1|243}^{4|321} -> dc-trivial r=(12) = 0",
+        "        +1 * c_{3241,1234}^{4213} -> degree-zero = 0",
+        "        +1 * c_{3412,1234}^{4213} -> degree-zero = 0",
+        "        +1 * c_{421|3,123|4}^{421|3} -> dc-cycle-B r=(34) = 1",
+        "          +1 * c_{42|31,12|34}^{42|31} -> dc-cycle-B r=(23) = 1",
+        "            +1 * c_{4321,1234}^{4321} -> base = 1",
+    ]
+
+
+def test_golden_trace_equivariant_s3(s3):
+    node = trace_constant(perm(s3, "231"), perm(s3, "213"), perm(s3, "231"), drop_equivariant=False)
+    assert format_trace(node, "y") == [
+        "c_{2|31,2|13}^{2|31} -> recurrence r=(12) = y2 - y1",
+        "  +1 * c_{321,213}^{321} -> base = y3 - y1",
+        "  +1 * c_{321,123}^{231} -> degree-zero = 0",
+        "  - (y3 - y2) * c_{2|31,1|23}^{2|31} -> dc-cycle-B r=(12) = 1",
+        "    +1 * c_{321,123}^{321} -> base = 1",
+    ]
+
+
+def test_trace_and_value_folds_agree(s4, b2, g2):
+    for rs in (s4, b2, g2):
+        for w, v, u in itertools.product(rs.elements(), repeat=3):
+            for drop in (True, False):
+                node = trace_constant(w, v, u, drop_equivariant=drop)
+                assert node.value == structure_constant(w, v, u, drop_equivariant=drop)
+                assert replay_trace(node)
+
+
+def test_replay_rejects_a_forged_degree_zero_leaf(s4):
+    # the triple is zero by dc-triviality, not by the fast zero tests, so
+    # only the leaf's own check can catch the forgery
+    key = ConstantKey(perm(s4, "3124"), perm(s4, "2143"), perm(s4, "4213"))
+    assert trace_constant(*key).rule == "dc-trivial"
+    forged = TraceNode(key, "degree-zero", None, [], Polynomial.zero(3))
+    with pytest.raises(AssertionError, match="not a fast zero"):
+        replay_trace(forged)
+
+
 def test_trace_of_worked_example_rule_sequence(s4):
     node = trace_constant(perm(s4, "1234"), perm(s4, "2413"), perm(s4, "2413"), first_r=2)
     assert node.value == Polynomial.one(3)
@@ -315,6 +383,15 @@ def test_triple_constant_duality(s3):
 def test_triple_constant_dimension_check(s3):
     with pytest.raises(DimensionMismatchError):
         triple_constant(s3.identity, s3.identity, s3.identity)
+
+
+def test_ordinary_recurrence_check_rejects_a_non_integer_oracle_value(s3, monkeypatch):
+    import schubertcalc.oracle
+
+    monkeypatch.setattr(schubertcalc.oracle, "oracle_constant", lambda w, v, u: Polynomial.variable(2, 1))
+    e = s3.identity
+    with pytest.raises(AssertionError, match="not an integer"):
+        ordinary_recurrence_check(e, e, perm(s3, "132"), 1, engine="oracle")
 
 
 def test_ordinary_recurrence_check_exhaustive(s3, s4):
