@@ -91,7 +91,6 @@ from .recurrence import (
 )
 from .oracle import (
     CoverSweepReport,
-    ExpansionReport,
     SweepReport,
     expand_in_schubert,
     lemma_cover_sweep,

@@ -23,7 +23,6 @@ independent, so results never depend on evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import MixedRootSystemsError
@@ -140,18 +139,17 @@ class GkmClass:
         return f"GkmClass(support={sup}/{self.rs.order()})"
 
 
-@dataclass
 class SchubertExpansion:
     """A finite combination  sum_u coeff[u] * S_u  with polynomial coefficients.
 
     Zero coefficients are never stored, so equality is canonical.
     """
 
-    rs: RootSystem
-    coeffs: dict[WeylElement, Polynomial] = field(default_factory=dict)
+    __slots__ = ("rs", "coeffs")
 
-    def __post_init__(self):
-        self.coeffs = {u: c for u, c in self.coeffs.items() if not c.is_zero()}
+    def __init__(self, rs: RootSystem, coeffs: dict[WeylElement, Polynomial] | None = None):
+        self.rs = rs
+        self.coeffs = {u: c for u, c in (coeffs or {}).items() if not c.is_zero()}
 
     def coeff(self, u: WeylElement) -> Polynomial:
         return self.coeffs.get(u, _zero(self.rs.rank))

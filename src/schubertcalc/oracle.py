@@ -32,7 +32,6 @@ together with uniqueness of the removable letter in every reduced word.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .billey import bottom_factors, bottom_restriction, restrict, schubert_class
 from .errors import GroupTooLargeError, NonzeroResidualError
@@ -42,7 +41,6 @@ from .recurrence import structure_constant
 from .rootsys import RootSystem, WeylElement, all_reduced_words, covers
 
 __all__ = [
-    "ExpansionReport",
     "SweepReport",
     "CoverSweepReport",
     "expand_in_schubert",
@@ -54,13 +52,7 @@ __all__ = [
 ORACLE_SWEEP_CAP = 120  # largest |W| swept by default
 
 
-@dataclass
-class ExpansionReport:
-    expansion: SchubertExpansion
-    steps: int
-
-
-def expand_in_schubert(p: GkmClass) -> ExpansionReport:
+def expand_in_schubert(p: GkmClass) -> SchubertExpansion:
     """Expand a class in the Schubert basis by triangular elimination.
 
     Raises :class:`NotDivisibleError` when the input is not a class and
@@ -86,7 +78,7 @@ def expand_in_schubert(p: GkmClass) -> ExpansionReport:
                 _add_terms(residual[j], d, -1)
         if residual[idx]:
             raise NonzeroResidualError(f"residual survives at {w!r}")
-    return ExpansionReport(SchubertExpansion(rs, coeffs), len(coeffs))
+    return SchubertExpansion(rs, coeffs)
 
 
 def _division_order(w: WeylElement) -> list[tuple[int, ...]]:
@@ -122,8 +114,7 @@ def _expansion(w: WeylElement, v: WeylElement) -> SchubertExpansion:
     key = (w, v) if (w.length, w.x) <= (v.length, v.x) else (v, w)
     got = cache.get(key)
     if got is None:
-        got = expand_in_schubert(schubert_class(key[0]) * schubert_class(key[1])).expansion
-        cache[key] = got
+        got = cache[key] = expand_in_schubert(schubert_class(key[0]) * schubert_class(key[1]))
     return got
 
 
@@ -135,17 +126,22 @@ def oracle_constant(w: WeylElement, v: WeylElement, u: WeylElement) -> Polynomia
     return _expansion(w, v).coeff(u)
 
 
-@dataclass
 class SweepReport:
     """Outcome of a recurrence-vs-oracle sweep over structure constants."""
 
-    group: str
-    triples: int = 0
-    mismatches: list[dict] = field(default_factory=list)
-    max_coeff: int = 0
-    elapsed_ms: float = 0.0
-    ordinary_violations: list[dict] = field(default_factory=list)
-    coeff_violations: list[dict] = field(default_factory=list)
+    __slots__ = (
+        "group", "triples", "mismatches", "max_coeff", "elapsed_ms",
+        "ordinary_violations", "coeff_violations",
+    )
+
+    def __init__(self, group: str):
+        self.group = group
+        self.triples = 0
+        self.mismatches: list[dict] = []
+        self.max_coeff = 0
+        self.elapsed_ms = 0.0
+        self.ordinary_violations: list[dict] = []
+        self.coeff_violations: list[dict] = []
 
     @property
     def ok(self) -> bool:
@@ -180,31 +176,23 @@ class SweepReport:
         return lines
 
 
-def verify_sweep(
-    rs: RootSystem,
-    ws=None,
-    vs=None,
-    us=None,
-    *,
-    force: bool = False,
-    max_order: int = ORACLE_SWEEP_CAP,
-) -> SweepReport:
+def verify_sweep(rs: RootSystem, ws=None, vs=None, us=None, *, force: bool = False) -> SweepReport:
     """Compare the two engines on all (filtered) triples of a group.
 
     Also collects positivity statistics: in the ordinary case every
     constant must be a nonnegative integer, and every equivariant constant
     must have nonnegative coefficients on the simple-root monomials.
     """
-    if rs.order() > max_order and not force:
+    if rs.order() > ORACLE_SWEEP_CAP and not force:
         raise GroupTooLargeError(
-            f"|W| = {rs.order()} exceeds the oracle sweep cap {max_order}; "
+            f"|W| = {rs.order()} exceeds the oracle sweep cap {ORACLE_SWEEP_CAP}; "
             "pass force=True to override"
         )
     elements = rs.elements()
     ws = list(ws) if ws is not None else elements
     vs = list(vs) if vs is not None else elements
     us = list(us) if us is not None else elements
-    report = SweepReport(group=rs.type_label or f"rank{rs.rank}")
+    report = SweepReport(rs.type_label or f"rank{rs.rank}")
     t0 = time.perf_counter()
     for w in ws:
         for v in vs:
@@ -236,15 +224,17 @@ def verify_sweep(
     return report
 
 
-@dataclass
 class CoverSweepReport:
     """Outcome of the cover-ratio and removable-letter sweep."""
 
-    group: str
-    covers_checked: int = 0
-    words_checked: int = 0
-    violations: list[str] = field(default_factory=list)
-    elapsed_ms: float = 0.0
+    __slots__ = ("group", "covers_checked", "words_checked", "violations", "elapsed_ms")
+
+    def __init__(self, group: str):
+        self.group = group
+        self.covers_checked = 0
+        self.words_checked = 0
+        self.violations: list[str] = []
+        self.elapsed_ms = 0.0
 
     @property
     def ok(self) -> bool:
@@ -277,7 +267,7 @@ def lemma_cover_sweep(rs: RootSystem) -> CoverSweepReport:
       * for every reduced word of ``w'``, exactly one letter can be
         removed to leave a reduced word for ``w``.
     """
-    report = CoverSweepReport(group=rs.type_label or f"rank{rs.rank}")
+    report = CoverSweepReport(rs.type_label or f"rank{rs.rank}")
     t0 = time.perf_counter()
     for w in rs.elements():
         for wp, beta in covers(w):

@@ -344,26 +344,9 @@ def act(w, p: Polynomial) -> Polynomial:
     a ring homomorphism.
     """
     mat = w.mat
-    rank = p.rank
-    if len(mat) != rank:
+    if len(mat) != p.rank:
         raise ValueError("rank mismatch between element and polynomial")
-    images = [tuple(mat[r][j] for r in range(rank)) for j in range(rank)]
-    exps = [_unpack(e, rank) for e in p._t]
-    # power tables per variable, up to the max exponent appearing
-    powers: list[list[Polynomial]] = []
-    for j in range(rank):
-        row = [Polynomial.one(rank)]
-        for _ in range(max((e[j] for e in exps), default=0)):
-            row.append(row[-1].times_linear(images[j]))
-        powers.append(row)
-    out = Polynomial.zero(rank)
-    for e, c in zip(exps, p._t.values()):
-        term = Polynomial.integer(rank, c)
-        for j, x in enumerate(e):
-            if x:
-                term = term * powers[j][x]
-        out = out + term
-    return out
+    return _substitute(p, list(zip(*mat)), p.rank)
 
 
 # -- exact division by a linear form -----------------------------------------

@@ -37,7 +37,6 @@ test suite).  Memo fills are idempotent, so concurrent readers are fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .billey import base_constant
@@ -65,8 +64,7 @@ class ConstantKey(NamedTuple):
     u: WeylElement
 
 
-@dataclass
-class TraceNode:
+class TraceNode(NamedTuple):
     """One rule application in a structure-constant derivation.
 
     ``children`` pairs each sub-constant with its weight; re-evaluating
@@ -84,14 +82,19 @@ class TraceNode:
 _MEMO_NAMES = {False: "constants[drop=False]", True: "constants[drop=True]"}
 
 
+def _check_first_r(w: WeylElement, first_r: int) -> None:
+    if not 1 <= first_r <= w.rs.rank:
+        raise ValueError(f"first_r={first_r} is outside 1..{w.rs.rank}")
+    if not w.right_ascent(first_r):
+        raise ValueError(f"first_r={first_r} is not an ascent of {w!r}")
+
+
 def _ascent(w: WeylElement, first_r: int | None) -> int:
-    # 0-based: first_r once checked to be an ascent of w, else w's least ascent
+    # 0-based: the checked first_r, else w's least ascent
     if first_r is None:
         for k, c in enumerate(w.x):
             if c > 0:
                 return k
-    if not w.right_ascent(first_r):
-        raise ValueError(f"first_r={first_r} is not an ascent of {w!r}")
     return first_r - 1
 
 
@@ -112,16 +115,16 @@ def structure_constant(
     """The structure constant ``c_{wv}^u`` as a polynomial in the simple roots.
 
     ``first_r`` overrides the reflection choice at this call only (it must
-    be an ascent of ``w``, and ``ValueError`` is raised when it is outside
-    ``1..rank``); recursion always uses the least ascent.  With
-    ``drop_equivariant=False`` the degree-based dropping of the
-    equivariant term is disabled; the result is identical.
+    be an ascent of ``w`` in ``1..rank``, else ``ValueError`` is raised);
+    recursion always uses the least ascent.  With ``drop_equivariant=False``
+    the degree-based dropping of the equivariant term is disabled; the
+    result is identical.
     """
     rs = w.rs
     if v.rs is not rs or u.rs is not rs:
         raise ValueError("elements of different root systems")
-    if first_r is not None and not 1 <= first_r <= rs.rank:
-        raise ValueError(f"first_r={first_r} is outside 1..{rs.rank}")
+    if first_r is not None:
+        _check_first_r(w, first_r)
     memo = rs.cache(_MEMO_NAMES[bool(drop_equivariant)])
     return _compute(rs, w, v, u, drop_equivariant, memo, first_r)
 
@@ -200,8 +203,8 @@ def trace_constant(
     rs = w.rs
     if v.rs is not rs or u.rs is not rs:
         raise ValueError("elements of different root systems")
-    if first_r is not None and not 1 <= first_r <= rs.rank:
-        raise ValueError(f"first_r={first_r} is outside 1..{rs.rank}")
+    if first_r is not None:
+        _check_first_r(w, first_r)
     nodes: dict[tuple, TraceNode] = {}
     return _trace(rs, w, v, u, drop_equivariant, nodes, first_r=first_r)
 
@@ -312,11 +315,9 @@ def product_expansion(w: WeylElement, v: WeylElement, engine: str = "recurrence"
     """
     rs = w.rs
     if engine == "oracle":
-        from .oracle import expand_in_schubert  # local import; oracle imports us
+        from .oracle import _expansion  # local import; oracle imports us
 
-        from .billey import schubert_class
-
-        return expand_in_schubert(schubert_class(w) * schubert_class(v)).expansion
+        return _expansion(w, v)
     if engine == "recurrence":
         coeffs = {}
         for u in rs.elements():

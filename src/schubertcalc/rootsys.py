@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     GroupTooLargeError,
@@ -69,8 +69,7 @@ MAX_GROUP = 50_000
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A root written in simple-root coordinates."""
 
     coords: tuple[int, ...]

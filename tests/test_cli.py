@@ -1,9 +1,13 @@
 """Command-line interface: flag surface, output schemas, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import schubertcalc
 from schubertcalc import EngineMismatchError, NotDivisibleError, Polynomial, poly_from_json
 from schubertcalc.cli import main, parse_element, load_group
 
@@ -12,6 +16,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_startup_leaves_dataclasses_and_inspect_unloaded():
+    """A fresh process imports neither ``dataclasses`` nor what it pulls in."""
+    src = os.path.dirname(os.path.dirname(schubertcalc.__file__))
+    code = (
+        "import sys, schubertcalc, schubertcalc.cli, schubertcalc.oracle; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 # -- documented example invocations --------------------------------------------
@@ -115,6 +131,15 @@ def test_trace_first_r_outside_the_rank_is_a_usage_error(capsys, w, v, u, first_
     )
     assert code == 2 and out == ""
     assert err == f"error: first_r={first_r} is outside 1..5\n"
+
+
+def test_trace_first_r_at_a_descent_of_a_fast_zero_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "trace", "--group", "A5", "--w", "213456", "--v", "123456", "--u", "654321",
+        "--first-r", "1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: first_r=1 is not an ascent of <213456>\n"
 
 
 def test_trace_json(capsys):

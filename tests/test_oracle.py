@@ -36,20 +36,20 @@ from conftest import perm
 def test_expansion_of_basis_classes(s3, b2):
     for rs in (s3, b2):
         for w in rs.elements():
-            report = expand_in_schubert(schubert_class(w))
-            assert report.expansion.coeffs == {w: Polynomial.one(rs.rank)}
+            exp = expand_in_schubert(schubert_class(w))
+            assert exp.coeffs == {w: Polynomial.one(rs.rank)}
 
 
 def test_expansion_rank1_square(a1):
     s1 = a1.simple_reflection(1)
-    report = expand_in_schubert(schubert_class(s1) * schubert_class(s1))
-    assert report.expansion.coeffs == {s1: Polynomial.variable(1, 1)}
-    assert report.steps == 1
+    exp = expand_in_schubert(schubert_class(s1) * schubert_class(s1))
+    assert exp.coeffs == {s1: Polynomial.variable(1, 1)}
+    assert len(exp.coeffs) == 1
 
 
 def test_expansion_chern_times_unit(s3):
     c = chern_class(s3, s3.simple_root(1))
-    exp = expand_in_schubert(c * schubert_class(s3.identity)).expansion
+    exp = expand_in_schubert(c * schubert_class(s3.identity))
     assert exp.coeff(s3.identity) == -Polynomial.variable(2, 1)
     assert exp.coeff(s3.simple_reflection(1)) == Polynomial.integer(2, 2)
     assert exp.coeff(s3.simple_reflection(2)) == Polynomial.integer(2, -1)
@@ -71,7 +71,7 @@ def test_expansion_rebuild_roundtrip(s3, s4):
                 cls = term if cls is None else cls + term
             if cls is None:
                 continue
-            got = expand_in_schubert(cls).expansion
+            got = expand_in_schubert(cls)
             assert got == SchubertExpansion(rs, coeffs)
 
 
@@ -108,7 +108,7 @@ def test_sweep_expands_each_unordered_pair_once(monkeypatch):
         cache = w.rs.cache("ordered_products")
         got = cache.get((w, v))
         if got is None:
-            got = cache[(w, v)] = expand(schubert_class(w) * schubert_class(v)).expansion
+            got = cache[(w, v)] = expand(schubert_class(w) * schubert_class(v))
         return got
 
     monkeypatch.setattr(oracle_mod, "expand_in_schubert", counted)
@@ -145,7 +145,7 @@ def test_right_action_matches_corollary(s4, b2, g2):
             r = rs.simple_reflection(i)
             for w in rs.elements():
                 moved = right_act(r, schubert_class(w))
-                got = expand_in_schubert(moved).expansion
+                got = expand_in_schubert(moved)
                 assert got == corollary_right_act_expansion(rs, alpha, w), (
                     rs.type_label,
                     i,
@@ -237,9 +237,9 @@ def test_expansion_matches_naive_elimination():
         if label in ("B3", "A4"):
             pairs = rng.sample(pairs, 100)
         for w, v in pairs:
-            report = expand_in_schubert(schubert_class(w) * schubert_class(v))
+            exp = expand_in_schubert(schubert_class(w) * schubert_class(v))
             expect, steps = naive_expansion(pointwise(schubert_class(w), schubert_class(v)))
-            assert (report.expansion, report.steps) == (expect, steps), (label, w, v)
+            assert (exp, len(exp.coeffs)) == (expect, steps), (label, w, v)
 
 
 def test_division_order_is_a_permutation_of_the_bottom_factors():
@@ -283,7 +283,7 @@ def test_class_with_wrong_bottom_value_is_rejected():
 
     with pytest.raises(NonzeroResidualError):
         expand_against_planted("231", doubled)
-    assert expand_against_planted("231", lambda values, k: values).steps == 1
+    assert len(expand_against_planted("231", lambda values, k: values).coeffs) == 1
 
 
 def test_class_product_multiplies_each_distinct_value_pair_once(s4, monkeypatch):

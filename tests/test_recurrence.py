@@ -101,6 +101,20 @@ def test_first_r_outside_the_rank_is_refused(s6, fn, w, v, u, first_r):
         fn(perm(s6, w), perm(s6, v), perm(s6, u), first_r=first_r)
 
 
+@pytest.mark.parametrize("fn", [structure_constant, trace_constant])
+@pytest.mark.parametrize(
+    "w,v,u",
+    [
+        ("532164", "132546", "642153"),  # the worked S_6 example
+        ("654321", "123456", "654321"),  # w = w0: the base case
+        ("213456", "123456", "654321"),  # a fast zero
+    ],
+)
+def test_first_r_at_a_descent_is_refused(s6, fn, w, v, u):
+    with pytest.raises(ValueError, match=f"first_r=1 is not an ascent of <{w}>"):
+        fn(perm(s6, w), perm(s6, v), perm(s6, u), first_r=1)
+
+
 # -- global identities -----------------------------------------------------------------
 
 
