@@ -50,10 +50,10 @@ __all__ = [
 ]
 
 
-def _extend(acc: dict, prefix: WeylElement, k: int, keep=None) -> dict:
+def _extend(acc: dict, prefix: WeylElement, k: int, below=None) -> dict:
     """The column at ``prefix * r_{k+1} > prefix``, from the column ``acc`` at ``prefix``.
 
-    ``keep`` optionally prunes the new states (a predicate on elements).
+    With ``below`` set, only new states ``q <= below`` are kept.
     """
     rs = prefix.rs
     factor = Polynomial.linear(prefix.act(rs.simple_roots[k]).coords)
@@ -62,22 +62,22 @@ def _extend(acc: dict, prefix: WeylElement, k: int, keep=None) -> dict:
     for p, poly in acc.items():
         if p.x[k] > 0:  # p * r_{k+1} > p
             q = p._step(k)
-            if keep is None or keep(q):
+            if below is None or bruhat_leq(q, below):
                 nxt[q] = nxt.get(q, zero).addmul(poly, factor)
     return nxt
 
 
-def _billey_pass(w: WeylElement, keep=None, word=None) -> dict[WeylElement, Polynomial]:
+def _billey_pass(w: WeylElement, below=None, word=None) -> dict[WeylElement, Polynomial]:
     """One DP pass over a reduced word of ``w``, by default its canonical one.
 
     Returns the map ``v -> S_v|_w`` over all partial products reached;
-    ``keep`` optionally prunes states (a predicate on elements).
+    with ``below`` set, only states ``q <= below`` are kept.
     """
     rs = w.rs
     acc = {rs.identity: Polynomial.one(rs.rank)}
     prefix = rs.identity
     for i in w.reduced_word() if word is None else word:
-        acc = _extend(acc, prefix, i - 1, keep)
+        acc = _extend(acc, prefix, i - 1, below)
         prefix = prefix._step(i - 1)
     return acc
 
@@ -100,10 +100,10 @@ def restrict(v: WeylElement, w: WeylElement, word=None) -> Polynomial:
             raise ValueError("word is not reduced")
         if target != w:
             raise ValueError("word does not multiply to the requested element")
-        return _billey_pass(w, keep=lambda q: bruhat_leq(q, v), word=word).get(v, zero)
+        return _billey_pass(w, below=v, word=word).get(v, zero)
     if not bruhat_leq(v, w):
         return zero
-    col = rs.cache("restrict_all").get(w) or _billey_pass(w, keep=lambda q: bruhat_leq(q, v))
+    col = rs.cache("restrict_all").get(w) or _billey_pass(w, below=v)
     return col.get(v, zero)
 
 

@@ -167,7 +167,7 @@ def _cache_key(rs: RootSystem, w, v, u, engine: str) -> str:
     )
 
 
-def _result_cache_path(rs: RootSystem, w, v, u, engine: str) -> Path | None:
+def _result_cache_path(key: str, engine: str) -> Path | None:
     """Optional persistent result cache, enabled by SCHUBERTCALC_CACHE_DIR.
 
     Caches are in-memory by default; this only stores final constants.
@@ -175,7 +175,7 @@ def _result_cache_path(rs: RootSystem, w, v, u, engine: str) -> Path | None:
     root = os.environ.get("SCHUBERTCALC_CACHE_DIR")
     if not root or engine == "both":
         return None
-    digest = hashlib.sha256(_cache_key(rs, w, v, u, engine).encode()).hexdigest()[:32]
+    digest = hashlib.sha256(key.encode()).hexdigest()[:32]
     return Path(root) / f"constant-{digest}.json"
 
 
@@ -220,10 +220,10 @@ def _cmd_constant(args) -> int:
     rs = load_group(args.group)
     basis = _default_basis(rs, args.basis)
     w, v, u = (parse_element(rs, getattr(args, x)) for x in "wvu")
-    cache_path = _result_cache_path(rs, w, v, u, args.engine)
+    key = _cache_key(rs, w, v, u, args.engine)
+    cache_path = _result_cache_path(key, args.engine)
     value = None
     if cache_path is not None:
-        key = _cache_key(rs, w, v, u, args.engine)
         value = _cache_read(cache_path, key, rs.rank)
     if value is None:
         if args.engine in ("recurrence", "both"):

@@ -176,7 +176,7 @@ class SweepReport:
         return lines
 
 
-def verify_sweep(rs: RootSystem, ws=None, vs=None, us=None, *, force: bool = False) -> SweepReport:
+def verify_sweep(rs: RootSystem, ws=None, vs=None, *, force: bool = False) -> SweepReport:
     """Compare the two engines on all (filtered) triples of a group.
 
     Also collects positivity statistics: in the ordinary case every
@@ -191,13 +191,12 @@ def verify_sweep(rs: RootSystem, ws=None, vs=None, us=None, *, force: bool = Fal
     elements = rs.elements()
     ws = list(ws) if ws is not None else elements
     vs = list(vs) if vs is not None else elements
-    us = list(us) if us is not None else elements
     report = SweepReport(rs.type_label or f"rank{rs.rank}")
     t0 = time.perf_counter()
     for w in ws:
         for v in vs:
             expansion = _expansion(w, v)
-            for u in us:
+            for u in elements:
                 report.triples += 1
                 rec = structure_constant(w, v, u)
                 orc = expansion.coeff(u)

@@ -20,8 +20,8 @@ so the recursion terminates at the base case ``w = w0``, where the
 constant is the fixed-point restriction ``S_v|_{w0}`` when ``u = w0`` and
 zero otherwise.  Fast zero tests (Bruhat support and degree) prune the
 tree; in the ordinary case ``l(u) = l(w) + l(v)`` the equivariant term is
-dropped by degree (an optimization that is independently tested against
-the undropped path).
+dropped by degree (an optimization that is tested against the trace fold's
+undropped path).
 
 The rule is written once (``_rule``): at a triple it names the branch
 and lists the weighted sub-constants it sums.  Two folds walk it: the
@@ -29,7 +29,8 @@ memoized value fold behind ``structure_constant``, and the trace fold
 behind ``trace_constant``, which records every rule application for replay
 and display.
 
-The value memo is keyed per root system and per optimization mode; the
+The value fold takes no options: it always starts at the least ascent and
+always drops by degree, so it keeps one memo table per root system.  The
 pair ``(w, v)`` is stored in a canonical order, which is safe because the
 constants are symmetric in ``w`` and ``v`` (independently verified by the
 test suite).  Memo fills are idempotent, so concurrent readers are fine.
@@ -79,16 +80,6 @@ class TraceNode(NamedTuple):
     value: Polynomial
 
 
-_MEMO_NAMES = {False: "constants[drop=False]", True: "constants[drop=True]"}
-
-
-def _check_first_r(w: WeylElement, first_r: int) -> None:
-    if not 1 <= first_r <= w.rs.rank:
-        raise ValueError(f"first_r={first_r} is outside 1..{w.rs.rank}")
-    if not w.right_ascent(first_r):
-        raise ValueError(f"first_r={first_r} is not an ascent of {w!r}")
-
-
 def _ascent(w: WeylElement, first_r: int | None) -> int:
     # 0-based: the checked first_r, else w's least ascent
     if first_r is None:
@@ -104,29 +95,17 @@ def _fast_zero(w, v, u) -> bool:
     return not (bruhat_leq(w, u) and bruhat_leq(v, u))
 
 
-def structure_constant(
-    w: WeylElement,
-    v: WeylElement,
-    u: WeylElement,
-    *,
-    drop_equivariant: bool = True,
-    first_r: int | None = None,
-) -> Polynomial:
+def structure_constant(w: WeylElement, v: WeylElement, u: WeylElement) -> Polynomial:
     """The structure constant ``c_{wv}^u`` as a polynomial in the simple roots.
 
-    ``first_r`` overrides the reflection choice at this call only (it must
-    be an ascent of ``w`` in ``1..rank``, else ``ValueError`` is raised);
-    recursion always uses the least ascent.  With ``drop_equivariant=False``
-    the degree-based dropping of the equivariant term is disabled; the
-    result is identical.
+    Every step uses the least ascent of ``w`` and drops the equivariant term
+    by degree where it vanishes; neither choice changes the value, and
+    :func:`trace_constant` can make either one differently.
     """
     rs = w.rs
     if v.rs is not rs or u.rs is not rs:
         raise ValueError("elements of different root systems")
-    if first_r is not None:
-        _check_first_r(w, first_r)
-    memo = rs.cache(_MEMO_NAMES[bool(drop_equivariant)])
-    return _compute(rs, w, v, u, drop_equivariant, memo, first_r)
+    return _compute(rs, w, v, u, rs.cache("constants[drop=True]"))
 
 
 def _rule(rs, w, v, u, drop, first_r):
@@ -162,19 +141,18 @@ def _rule(rs, w, v, u, drop, first_r):
     return "recurrence", k + 1, zero, subs
 
 
-def _compute(rs, w, v, u, drop, memo, first_r=None):
+def _compute(rs, w, v, u, memo):
     zero = _zero(rs.rank)
     if _fast_zero(w, v, u):
         return zero
-    if first_r is None:
-        # any fixed order of the memo pair will do; the weight needs no matrix
-        key = (w, v, u) if (w.length, w.x) <= (v.length, v.x) else (v, w, u)
-        got = memo.get(key)
-        if got is not None:
-            return got
-    _, _, got, subs = _rule(rs, w, v, u, drop, first_r)
+    # any fixed order of the memo pair will do; the weight needs no matrix
+    key = (w, v, u) if (w.length, w.x) <= (v.length, v.x) else (v, w, u)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    _, _, got, subs = _rule(rs, w, v, u, True, None)
     for weight, a, b, c in subs:
-        term = _compute(rs, a, b, c, drop, memo)
+        term = _compute(rs, a, b, c, memo)
         if term is zero:  # the shared zero; a zero it misses is added harmlessly
             continue
         if type(weight) is not int:
@@ -183,8 +161,7 @@ def _compute(rs, w, v, u, drop, memo, first_r=None):
             got = term if got is zero else got + term
         else:
             got = got + term.scale(weight)
-    if first_r is None:
-        memo[key] = got
+    memo[key] = got
     return got
 
 
@@ -199,12 +176,22 @@ def trace_constant(
     drop_equivariant: bool = True,
     first_r: int | None = None,
 ) -> TraceNode:
-    """Like :func:`structure_constant` but returns the full derivation tree."""
+    """Like :func:`structure_constant` but returns the full derivation tree.
+
+    ``first_r`` overrides the reflection at the root step only (it must be
+    an ascent of ``w`` in ``1..rank``, else ``ValueError`` is raised); the
+    recursion below always uses the least ascent.  With
+    ``drop_equivariant=False`` the equivariant term is written out even
+    where it vanishes by degree.  Neither option changes the root value.
+    """
     rs = w.rs
     if v.rs is not rs or u.rs is not rs:
         raise ValueError("elements of different root systems")
     if first_r is not None:
-        _check_first_r(w, first_r)
+        if not 1 <= first_r <= rs.rank:
+            raise ValueError(f"first_r={first_r} is outside 1..{rs.rank}")
+        if not w.right_ascent(first_r):
+            raise ValueError(f"first_r={first_r} is not an ascent of {w!r}")
     nodes: dict[tuple, TraceNode] = {}
     return _trace(rs, w, v, u, drop_equivariant, nodes, first_r=first_r)
 
@@ -330,7 +317,7 @@ def product_expansion(w: WeylElement, v: WeylElement, engine: str = "recurrence"
         rec = product_expansion(w, v, "recurrence")
         orc = product_expansion(w, v, "oracle")
         if rec != orc:
-            for u in rs.elements():
+            for u in sorted(rec.coeffs.keys() | orc.coeffs.keys(), key=rs.element_index):
                 if rec.coeff(u) != orc.coeff(u):
                     raise EngineMismatchError(w, v, u, rec.coeff(u), orc.coeff(u))
         return rec

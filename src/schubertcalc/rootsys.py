@@ -271,17 +271,18 @@ class RootSystem:
     Use :func:`build` or :func:`named` to construct one.
     """
 
-    def __init__(self, cartan: Matrix, type_label: str | None = None, max_roots: int = MAX_ROOTS):
+    def __init__(self, cartan: Matrix, type_label: str | None = None):
         self.cartan = cartan
         self.rank = len(cartan)
         self.type_label = type_label
         self._validate_cartan()
+        self.is_type_a = cartan == _cartan_a(self.rank)
         self.simple_roots = [
             Root(tuple(int(i == j) for j in range(self.rank))) for i in range(self.rank)
         ]
         # alpha_k in fundamental-weight coordinates is column k of the Cartan matrix
         self._alpha_weights = [tuple(row[k] for row in cartan) for k in range(self.rank)]
-        self._close_roots(max_roots)
+        self._close_roots()
         self._root_index = {r: k for k, r in enumerate(self.positive_roots)}
         self._order = _weyl_order(self.positive_roots)
         self._pool: dict[tuple[int, ...], WeylElement] = {}
@@ -309,7 +310,7 @@ class RootSystem:
                     if (A[i][j] == 0) != (A[j][i] == 0):
                         raise ValueError("Cartan zero pattern must be symmetric")
 
-    def _close_roots(self, max_roots: int):
+    def _close_roots(self):
         # r_k(x) = x - <x, alpha_k_check> alpha_k moves coordinate k alone; on coroot
         # coordinates the pairing uses column k of the Cartan matrix instead of row k
         n = self.rank
@@ -336,9 +337,9 @@ class RootSystem:
                         d = co[k] - sum(a * x for a, x in zip(self._alpha_weights[k], co))
                         info[img] = (co[:k] + (d,) + co[k + 1:], (coords, k + 1))
                         new_frontier.append(img)
-                        if len(info) > max_roots:
+                        if len(info) > MAX_ROOTS:
                             raise NonFiniteTypeError(
-                                f"root closure exceeded {max_roots} roots; "
+                                f"root closure exceeded {MAX_ROOTS} roots; "
                                 "the Cartan matrix is not of finite type"
                             )
             frontier = new_frontier
@@ -425,14 +426,6 @@ class RootSystem:
 
     # -- type A ------------------------------------------------------------
 
-    @property
-    def is_type_a(self) -> bool:
-        got = self.caches.get("is_type_a")
-        if got is None:
-            got = self.cartan == _cartan_a(self.rank)
-            self.caches["is_type_a"] = got
-        return got
-
     def cache(self, name: str) -> dict:
         return self.caches.setdefault(name, {})
 
@@ -494,14 +487,14 @@ _CARTAN_F4: Matrix = (
 )
 
 
-def build(cartan, type_label: str | None = None, max_roots: int = MAX_ROOTS) -> RootSystem:
+def build(cartan, type_label: str | None = None) -> RootSystem:
     """Build a root system from integer Cartan data.
 
     Raises :class:`NonFiniteTypeError` when the root closure exceeds
-    ``max_roots`` (affine or indefinite input).
+    ``MAX_ROOTS`` (affine or indefinite input).
     """
     mat = tuple(tuple(int(x) for x in row) for row in cartan)
-    return RootSystem(mat, type_label=type_label, max_roots=max_roots)
+    return RootSystem(mat, type_label=type_label)
 
 
 def named(label: str) -> RootSystem:

@@ -8,7 +8,14 @@ import sys
 import pytest
 
 import schubertcalc
-from schubertcalc import EngineMismatchError, NotDivisibleError, Polynomial, poly_from_json
+from schubertcalc import (
+    EngineMismatchError,
+    NotDivisibleError,
+    Polynomial,
+    SchubertExpansion,
+    poly_from_json,
+    product_expansion,
+)
 from schubertcalc.cli import main, parse_element, load_group
 
 
@@ -231,6 +238,84 @@ def test_invariant_exit_code(capsys, monkeypatch):
     assert code == 4 and "invariant" in err
 
 
+@pytest.mark.parametrize(
+    "group,w,v,u,value",
+    [("A3", "1234", "2413", "2413", "1"), ("A5", "532164", "132546", "642153", "2")],
+)
+def test_constant_engine_oracle_matches_recurrence(capsys, group, w, v, u, value):
+    argv = ("constant", "--group", group, "--w", w, "--v", v, "--u", u)
+    assert run(capsys, *argv, "--engine", "recurrence") == (0, value + "\n", "")
+    assert run(capsys, *argv, "--engine", "oracle") == (0, value + "\n", "")
+
+
+def test_restrict_json(capsys):
+    from schubertcalc import named, restrict
+
+    code, out, _ = run(capsys, "restrict", "--group", "A2", "--v", "213", "--w", "321", "--output", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == {"group", "v", "w", "value", "value_str"}
+    assert (data["group"], data["v"], data["w"], data["value_str"]) == ("A2", "213", "321", "y3 - y1")
+    s3 = named("A2")
+    expected = restrict(parse_element(s3, "213"), parse_element(s3, "321"))
+    assert poly_from_json(data["value"], 2) == expected
+
+
+def _fake_expansion(monkeypatch, edit):
+    """Make the oracle's cached expansion of every pair differ by ``edit``."""
+    import schubertcalc.oracle as oracle
+
+    real = oracle._expansion
+
+    def fake(w, v):
+        exp = real(w, v)
+        coeffs = dict(exp.coeffs)
+        edit(w.rs, coeffs)
+        return SchubertExpansion(w.rs, coeffs)
+
+    monkeypatch.setattr(oracle, "_expansion", fake)
+
+
+def test_product_both_names_a_wrong_shared_coefficient(s3, monkeypatch):
+    w = parse_element(s3, "213")
+    u = parse_element(s3, "312")
+    right = product_expansion(w, w)
+    assert right.coeff(u) == 1
+
+    def edit(rs, coeffs):
+        coeffs[u] = Polynomial.integer(rs.rank, 7)
+
+    _fake_expansion(monkeypatch, edit)
+    with pytest.raises(EngineMismatchError) as exc:
+        product_expansion(w, w, engine="both")
+    assert exc.value.u is u
+    assert exc.value.recurrence_value == 1 and exc.value.oracle_value == 7
+
+
+def test_product_both_names_a_term_only_the_oracle_has(s3, monkeypatch):
+    w = parse_element(s3, "213")
+    u = s3.longest_element()
+    assert product_expansion(w, w).coeff(u).is_zero()
+
+    def edit(rs, coeffs):
+        coeffs[u] = Polynomial.one(rs.rank)
+
+    _fake_expansion(monkeypatch, edit)
+    with pytest.raises(EngineMismatchError) as exc:
+        product_expansion(w, w, engine="both")
+    assert exc.value.u is u
+    assert exc.value.recurrence_value.is_zero() and exc.value.oracle_value == 1
+
+
+def test_product_engine_both_mismatch_exit_code(capsys, monkeypatch):
+    def edit(rs, coeffs):
+        coeffs[rs.longest_element()] = Polynomial.one(rs.rank)
+
+    _fake_expansion(monkeypatch, edit)
+    code, out, err = run(capsys, "product", "--group", "A2", "--w", "213", "--v", "213", "--engine", "both")
+    assert (code, out) == (3, "") and err.startswith("engine mismatch: engines disagree at")
+
+
 def test_engine_mismatch_error_carries_the_offender(s3):
     exc = EngineMismatchError("w", "v", "u", 1, 2)
     assert exc.u == "u" and exc.recurrence_value == 1 and exc.oracle_value == 2
@@ -337,6 +422,29 @@ def test_constant_command_does_not_enumerate(capsys, monkeypatch):
     code, out, _ = run(capsys, "info", "--group", "A8")
     assert code == 0 and "362880" in out
     assert len(groups) == 2 and not any("elements" in rs.caches for rs in groups)
+
+
+@pytest.mark.parametrize("group", ["A3", "B3"])
+def test_group_caches_hold_only_tables(capsys, monkeypatch, group):
+    import schubertcalc.cli as cli
+
+    groups, real_load = [], cli.load_group
+
+    def load(source):
+        groups.append(real_load(source))
+        return groups[-1]
+
+    monkeypatch.setattr(cli, "load_group", load)
+    w, v = ("2134", "1324") if group == "A3" else ("s1", "s2")
+    assert run(capsys, "info", "--group", group)[0] == 0
+    assert run(capsys, "constant", "--group", group, "--w", w, "--v", v, "--u", "e")[0] == 0
+    assert run(capsys, "product", "--group", group, "--w", w, "--v", v)[0] == 0
+    assert len(groups) == 3
+    for rs in groups:
+        assert rs.is_type_a is (group == "A3")
+        # tables only: the element list and dicts, never a flag
+        assert all(type(t) in (dict, list) for t in rs.caches.values()), rs.caches.keys()
+    assert "elements" in groups[-1].caches
 
 
 def test_info_on_large_groups(tmp_path, capsys):

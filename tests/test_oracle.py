@@ -180,8 +180,8 @@ def test_verify_sweep_cap(s6):
         verify_sweep(s6)
     # the override flag is honored (tiny filtered slice to keep it cheap)
     e = s6.identity
-    report = verify_sweep(s6, ws=[e], vs=[e], us=[e], force=True)
-    assert report.triples == 1 and report.ok
+    report = verify_sweep(s6, ws=[e], vs=[e], force=True)
+    assert report.triples == 720 and report.ok
 
 
 def test_lemma_cover_sweep(s3, s4, b2):

@@ -83,10 +83,10 @@ def test_first_r_descent_cycle(s4):
 
 def test_first_r_must_be_an_ascent(s4):
     with pytest.raises(ValueError):
-        structure_constant(perm(s4, "2134"), perm(s4, "1234"), perm(s4, "2134"), first_r=1)
+        trace_constant(perm(s4, "2134"), perm(s4, "1234"), perm(s4, "2134"), first_r=1)
 
 
-@pytest.mark.parametrize("fn", [structure_constant, trace_constant])
+@pytest.mark.parametrize("fn", [trace_constant])
 @pytest.mark.parametrize(
     "w,v,u",
     [
@@ -101,7 +101,7 @@ def test_first_r_outside_the_rank_is_refused(s6, fn, w, v, u, first_r):
         fn(perm(s6, w), perm(s6, v), perm(s6, u), first_r=first_r)
 
 
-@pytest.mark.parametrize("fn", [structure_constant, trace_constant])
+@pytest.mark.parametrize("fn", [trace_constant])
 @pytest.mark.parametrize(
     "w,v,u",
     [
@@ -166,14 +166,14 @@ def test_graham_positivity_observed(s3, b2):
 
 def test_equivariant_drop_is_pure_optimization(s3, s4):
     for w, v, u in itertools.product(s3.elements(), repeat=3):
-        assert structure_constant(w, v, u) == structure_constant(
+        assert structure_constant(w, v, u) == trace_constant(
             w, v, u, drop_equivariant=False
-        )
+        ).value
     sample = [perm(s4, p) for p in ("1234", "2413", "1324", "3412", "4321", "2143")]
     for w, v, u in itertools.product(sample, repeat=3):
-        assert structure_constant(w, v, u) == structure_constant(
+        assert structure_constant(w, v, u) == trace_constant(
             w, v, u, drop_equivariant=False
-        )
+        ).value
 
 
 def test_cover_recurrence_identity_verbatim_s4(s4):
@@ -282,8 +282,20 @@ def test_trace_and_value_folds_agree(s4, b2, g2):
         for w, v, u in itertools.product(rs.elements(), repeat=3):
             for drop in (True, False):
                 node = trace_constant(w, v, u, drop_equivariant=drop)
-                assert node.value == structure_constant(w, v, u, drop_equivariant=drop)
+                assert node.value == structure_constant(w, v, u)
                 assert replay_trace(node)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_one_value_memo_per_group(label):
+    rs = named(label)
+    w0 = rs.longest_element()
+    w, v = rs.simple_reflection(1), rs.simple_reflection(2)
+    trace_constant(w, v, w0, drop_equivariant=False, first_r=2)
+    structure_constant(w, v, w * v)
+    product_expansion(v, w)
+    trace_constant(w, v, w * v)
+    assert [k for k in rs.caches if k.startswith("constants[")] == ["constants[drop=True]"]
 
 
 def test_replay_rejects_a_forged_degree_zero_leaf(s4):

@@ -139,9 +139,7 @@ def test_affine_input_is_rejected():
     ],
 )
 def test_non_finite_input_names_the_root_closure(cartan):
-    with pytest.raises(NonFiniteTypeError, match="exceeded 200 roots; the Cartan matrix is not of finite type"):
-        build(cartan, max_roots=200)
-    with pytest.raises(NonFiniteTypeError):
+    with pytest.raises(NonFiniteTypeError, match="exceeded 10000 roots; the Cartan matrix is not of finite type"):
         build(cartan)
 
 
