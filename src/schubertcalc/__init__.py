@@ -44,12 +44,10 @@ from .rootsys import (
     word_to_element,
 )
 from .polyring import (
-    LinearForm,
     Polynomial,
     act,
     divide_exact,
     is_divisible,
-    parse,
     poly_from_json,
     poly_to_json,
     render,
@@ -82,7 +80,6 @@ from .recurrence import (
     ConstantKey,
     TraceNode,
     format_trace,
-    ordinary_recurrence_check,
     product_expansion,
     replay_trace,
     structure_constant,
@@ -95,6 +92,8 @@ from .oracle import (
     expand_in_schubert,
     lemma_cover_sweep,
     oracle_constant,
+    oracle_product,
+    ordinary_recurrence_check,
     verify_sweep,
 )
 

@@ -253,7 +253,16 @@ def _cmd_product(args) -> int:
     rs = load_group(args.group)
     basis = _default_basis(rs, args.basis)
     w, v = parse_element(rs, args.w), parse_element(rs, args.v)
-    exp = recurrence.product_expansion(w, v, engine=args.engine)
+    if args.engine == "oracle":
+        exp = oracle.oracle_product(w, v)
+    else:
+        exp = recurrence.product_expansion(w, v)
+    if args.engine == "both":
+        other = oracle.oracle_product(w, v)
+        # name the first element, in canonical order, where the two differ
+        for u in sorted(exp.coeffs.keys() | other.coeffs.keys(), key=rs.element_index):
+            if exp.coeff(u) != other.coeff(u):
+                raise EngineMismatchError(w, v, u, exp.coeff(u), other.coeff(u))
     if args.output == "json":
         print(json.dumps({
             "group": rs.type_label,

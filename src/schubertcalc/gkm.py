@@ -332,6 +332,8 @@ def class_from_json(rs: RootSystem, data: dict) -> GkmClass:
     by_label = {w.describe(): w for w in rs.elements()}
     out = [Polynomial.zero(rs.rank)] * rs.order()
     for item in values:
-        w = by_label[item["element"]]
+        w = by_label.pop(item["element"], None)
+        if w is None:
+            raise ValueError(f"class dump names {item['element']!r} twice or outside the group")
         out[rs.element_index(w)] = poly_from_json(item["poly"], rs.rank)
     return GkmClass(rs, out)

@@ -21,8 +21,9 @@ group, a term dict of its own from the point's first update.
 The expansion deliberately shares no code path with the recursive
 structure-constant engine beyond the primitive modules, so the two can
 check each other: :func:`verify_sweep` compares them on every triple of a
-(small) group, and :func:`lemma_cover_sweep` exhaustively checks the
-cover-ratio identity
+(small) group, :func:`ordinary_recurrence_check` tests the paper's
+recurrence on triple integrals read off the expansions alone, and
+:func:`lemma_cover_sweep` exhaustively checks the cover-ratio identity
 
     bottom(w') == S_w|_{w'} * (w . beta)        for covers w' = w r_beta
 
@@ -34,17 +35,19 @@ from __future__ import annotations
 import time
 
 from .billey import bottom_factors, bottom_restriction, restrict, schubert_class
-from .errors import GroupTooLargeError, NonzeroResidualError
+from .errors import DimensionMismatchError, GroupTooLargeError, NonzeroResidualError
 from .gkm import GkmClass, SchubertExpansion
 from .polyring import Polynomial, _add_terms, _make, divide_exact, render
-from .recurrence import structure_constant
-from .rootsys import RootSystem, WeylElement, all_reduced_words, covers
+from .recurrence import _integer, structure_constant
+from .rootsys import RootSystem, WeylElement, all_reduced_words, coeff_pairing, covers
 
 __all__ = [
     "SweepReport",
     "CoverSweepReport",
     "expand_in_schubert",
+    "oracle_product",
     "oracle_constant",
+    "ordinary_recurrence_check",
     "verify_sweep",
     "lemma_cover_sweep",
 ]
@@ -108,7 +111,7 @@ def _support_by_value(w: WeylElement, idx: int) -> list[tuple[Polynomial, list[i
     return got
 
 
-def _expansion(w: WeylElement, v: WeylElement) -> SchubertExpansion:
+def oracle_product(w: WeylElement, v: WeylElement) -> SchubertExpansion:
     """The Schubert expansion of ``S_w * S_v``, cached once per unordered pair."""
     cache = w.rs.cache("oracle_products")
     key = (w, v) if (w.length, w.x) <= (v.length, v.x) else (v, w)
@@ -123,7 +126,41 @@ def oracle_constant(w: WeylElement, v: WeylElement, u: WeylElement) -> Polynomia
 
     The product is commutative, so one expansion is cached per unordered pair.
     """
-    return _expansion(w, v).coeff(u)
+    return oracle_product(w, v).coeff(u)
+
+
+def ordinary_recurrence_check(w: WeylElement, v: WeylElement, u: WeylElement, r_index: int) -> bool:
+    """Verify one instance of the cover recurrence for the triple integrals.
+
+    Requires ``wr > w``, ``vr > v``, ``ur > u`` and
+    ``l(w) + l(v) + l(u) + 2`` equal to the number of positive roots, so
+    that every term is a well-defined integral.  Every term is read off an
+    oracle expansion, so the check is independent of the recursive engine.
+    """
+    rs = w.rs
+    if w.length + v.length + u.length + 2 != len(rs.positive_roots):
+        raise DimensionMismatchError(
+            "term lengths do not match the dimension of the flag variety"
+        )
+    for x in (w, v, u):
+        if not x.right_ascent(r_index):
+            raise ValueError(f"r_index={r_index} is not an ascent of {x!r}")
+    r = rs.simple_reflection(r_index)
+    alpha = rs.simple_root(r_index)
+    w0 = rs.longest_element()
+
+    def triple(a, b, c):
+        return _integer(oracle_constant(a, b, w0 * c))
+
+    lhs = triple(w, v * r, u * r)
+    rhs = triple(w * r, v * r, u) + triple(w * r, v, u * r)
+    for wp, beta in covers(w):
+        if wp == w * r:
+            continue
+        m = coeff_pairing(rs, alpha, beta)
+        if m:
+            rhs += m * triple(wp, v, u * r)
+    return lhs == rhs
 
 
 class SweepReport:
@@ -195,7 +232,7 @@ def verify_sweep(rs: RootSystem, ws=None, vs=None, *, force: bool = False) -> Sw
     t0 = time.perf_counter()
     for w in ws:
         for v in vs:
-            expansion = _expansion(w, v)
+            expansion = oracle_product(w, v)
             for u in elements:
                 report.triples += 1
                 rec = structure_constant(w, v, u)

@@ -29,13 +29,12 @@ Each variable carries cohomological degree 2; internally we work with the
 ordinary total degree ("combinatorial degree").
 
 For type A display there is a second coordinate system ``y1..y{N+1}``
-related by ``a_i = y_{i+1} - y_i``; rendering and parsing support both.
+related by ``a_i = y_{i+1} - y_i``; rendering supports both.
 Polynomials are immutable values and every operation is pure.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from functools import cache, reduce
 from operator import or_
@@ -45,19 +44,13 @@ from .errors import NotDivisibleError
 
 __all__ = [
     "Polynomial",
-    "LinearForm",
     "act",
     "divide_exact",
     "is_divisible",
     "render",
-    "parse",
     "poly_to_json",
     "poly_from_json",
 ]
-
-# A linear form is just an integer coefficient vector on the simple roots;
-# `Root.coords` from rootsys is accepted anywhere a LinearForm is.
-LinearForm = tuple[int, ...]
 
 # -- packed monomials ----------------------------------------------------------
 
@@ -197,7 +190,7 @@ class Polynomial:
         return _make(rank, {1 << (_W * (i - 1)): 1})
 
     @classmethod
-    def linear(cls, coords: Sequence[int] | "LinearForm") -> "Polynomial":
+    def linear(cls, coords: Sequence[int]) -> "Polynomial":
         coords = _as_coords(coords)
         return _make(len(coords), dict(_linear_units(coords, len(coords))))
 
@@ -352,7 +345,7 @@ def act(w, p: Polynomial) -> Polynomial:
 # -- exact division by a linear form -----------------------------------------
 
 
-def divide_exact(p: Polynomial, f: Sequence[int] | LinearForm) -> Polynomial:
+def divide_exact(p: Polynomial, f: Sequence[int]) -> Polynomial:
     """Return q with ``q * f == p`` for a nonzero linear form ``f``.
 
     Raises :class:`NotDivisibleError` when no such integer polynomial
@@ -395,7 +388,7 @@ def divide_exact(p: Polynomial, f: Sequence[int] | LinearForm) -> Polynomial:
     return _checked(p.rank, quotient)
 
 
-def is_divisible(p: Polynomial, f: Sequence[int] | LinearForm) -> bool:
+def is_divisible(p: Polynomial, f: Sequence[int]) -> bool:
     """True iff :func:`divide_exact` would succeed; never raises."""
     try:
         divide_exact(p, f)
@@ -404,7 +397,7 @@ def is_divisible(p: Polynomial, f: Sequence[int] | LinearForm) -> bool:
         return False
 
 
-# -- rendering / parsing ------------------------------------------------------
+# -- rendering ---------------------------------------------------------------
 
 
 def _substitute(p: Polynomial, images, rank: int) -> Polynomial:
@@ -471,99 +464,6 @@ def render(p: Polynomial, basis: str = "alpha") -> str:
     if basis == "y":
         return _render_terms(_to_y(p), "y")
     raise ValueError(f"unknown basis {basis!r}")
-
-
-_TOKEN = re.compile(r"\s*([+-]|\d+|[ay]\d+|\^|\*)")
-
-
-def parse(text: str, rank: int, basis: str = "alpha") -> Polynomial:
-    """Parse the textual polynomial grammar.
-
-    Signed integer coefficients, variables ``a1..aN`` (or ``y1..y{N+1}``
-    for type A input), ``^`` for powers, ``*`` optional.
-
-    >>> parse("y3 - y1", 2, "y") == Polynomial.variable(2, 1) + Polynomial.variable(2, 2)
-    True
-    """
-    if basis not in ("alpha", "y"):
-        raise ValueError(f"unknown basis {basis!r}")
-    nvars = rank if basis == "alpha" else rank + 1
-    prefix = "a" if basis == "alpha" else "y"
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    terms: dict[tuple[int, ...], int] = {}
-    i = 0
-
-    def term_done(coeff, exp):
-        e = tuple(exp)
-        s = terms.get(e, 0) + coeff
-        if s:
-            terms[e] = s
-        else:
-            terms.pop(e, None)
-
-    while i < len(tokens):
-        sign = 1
-        while i < len(tokens) and tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise ValueError("dangling sign in polynomial text")
-        coeff = sign
-        exp = [0] * nvars
-        saw_factor = False
-        while i < len(tokens) and tokens[i] not in "+-":
-            tok = tokens[i]
-            if tok == "*":
-                i += 1
-                continue
-            if tok.isdigit():
-                coeff *= int(tok)
-                saw_factor = True
-                i += 1
-                continue
-            if tok[0] in "ay":
-                if tok[0] != prefix:
-                    raise ValueError(
-                        f"variable {tok!r} does not belong to the {basis!r} basis"
-                    )
-                idx = int(tok[1:])
-                if not 1 <= idx <= nvars:
-                    raise ValueError(f"variable index out of range in {tok!r}")
-                power = 1
-                i += 1
-                if i < len(tokens) and tokens[i] == "^":
-                    i += 1
-                    if i >= len(tokens) or not tokens[i].isdigit():
-                        raise ValueError("expected integer after '^'")
-                    power = int(tokens[i])
-                    i += 1
-                exp[idx - 1] += power
-                saw_factor = True
-                continue
-            raise ValueError(f"unexpected token {tok!r}")
-        if not saw_factor:
-            raise ValueError("empty term in polynomial text")
-        term_done(coeff, exp)
-
-    if basis == "alpha":
-        return Polynomial(rank, terms)
-    ys = Polynomial(nvars, terms)
-    # gauge y_i -> -(a_i + ... + a_rank), y_{rank+1} -> 0, then check membership
-    gauge = [tuple(-int(j >= i) for j in range(rank)) for i in range(nvars)]
-    out = _substitute(ys, gauge, rank)
-    if _to_y(out) != ys:
-        raise ValueError("polynomial is not expressible in the simple-root variables")
-    return out
 
 
 # -- JSON --------------------------------------------------------------------

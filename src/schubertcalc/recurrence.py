@@ -41,10 +41,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .billey import base_constant
-from .errors import DimensionMismatchError, EngineMismatchError
+from .errors import DimensionMismatchError
 from .gkm import SchubertExpansion, _zero
 from .polyring import Polynomial, render
-from .rootsys import RootSystem, WeylElement, bruhat_leq, coeff_pairing, covers
+from .rootsys import WeylElement, bruhat_leq, coeff_pairing, covers
 
 __all__ = [
     "ConstantKey",
@@ -55,7 +55,6 @@ __all__ = [
     "format_trace",
     "product_expansion",
     "triple_constant",
-    "ordinary_recurrence_check",
 ]
 
 
@@ -293,35 +292,20 @@ def format_trace(node: TraceNode, basis: str = "alpha", indent: str = "") -> lis
 # -- aggregated products --------------------------------------------------------
 
 
-def product_expansion(w: WeylElement, v: WeylElement, engine: str = "recurrence") -> SchubertExpansion:
+def product_expansion(w: WeylElement, v: WeylElement) -> SchubertExpansion:
     """All nonzero coefficients of ``S_w * S_v`` in the Schubert basis.
 
-    ``engine`` selects the recursive engine, the expansion oracle, or
-    ``"both"``, in which case any disagreement raises
-    :class:`EngineMismatchError` carrying the offending basis element.
+    Each coefficient is a :func:`structure_constant`; the oracle's
+    ``oracle_product`` expands the same product independently.
     """
     rs = w.rs
-    if engine == "oracle":
-        from .oracle import _expansion  # local import; oracle imports us
-
-        return _expansion(w, v)
-    if engine == "recurrence":
-        coeffs = {}
-        for u in rs.elements():
-            if u.length <= w.length + v.length:
-                c = structure_constant(w, v, u)
-                if not c.is_zero():
-                    coeffs[u] = c
-        return SchubertExpansion(rs, coeffs)
-    if engine == "both":
-        rec = product_expansion(w, v, "recurrence")
-        orc = product_expansion(w, v, "oracle")
-        if rec != orc:
-            for u in sorted(rec.coeffs.keys() | orc.coeffs.keys(), key=rs.element_index):
-                if rec.coeff(u) != orc.coeff(u):
-                    raise EngineMismatchError(w, v, u, rec.coeff(u), orc.coeff(u))
-        return rec
-    raise ValueError(f"unknown engine {engine!r}")
+    coeffs = {}
+    for u in rs.elements():
+        if u.length <= w.length + v.length:
+            c = structure_constant(w, v, u)
+            if not c.is_zero():
+                coeffs[u] = c
+    return SchubertExpansion(rs, coeffs)
 
 
 # -- the ordinary (non-equivariant) story ---------------------------------------
@@ -350,51 +334,3 @@ def _integer(val: Polynomial) -> int:
     if val.homogeneous_degree() != 0:
         raise AssertionError("ordinary constant is not an integer")
     return val.constant_term()
-
-
-def ordinary_recurrence_check(
-    w: WeylElement,
-    v: WeylElement,
-    u: WeylElement,
-    r_index: int,
-    engine: str = "recurrence",
-) -> bool:
-    """Verify one instance of the cover recurrence for the triple integrals.
-
-    Requires ``wr > w``, ``vr > v``, ``ur > u`` and
-    ``l(w) + l(v) + l(u) + 2`` equal to the number of positive roots, so
-    that every term is a well-defined integral.  Both sides are evaluated
-    with the selected engine.
-    """
-    rs = w.rs
-    nroots = len(rs.positive_roots)
-    if w.length + v.length + u.length + 2 != nroots:
-        raise DimensionMismatchError(
-            "term lengths do not match the dimension of the flag variety"
-        )
-    for x in (w, v, u):
-        if not x.right_ascent(r_index):
-            raise ValueError(f"r_index={r_index} is not an ascent of {x!r}")
-    r = rs.simple_reflection(r_index)
-    alpha = rs.simple_root(r_index)
-
-    if engine == "recurrence":
-        triple = triple_constant
-    elif engine == "oracle":
-        from .oracle import oracle_constant
-
-        def triple(a, b, c):
-            return _integer(oracle_constant(a, b, rs.longest_element() * c))
-
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-
-    lhs = triple(w, v * r, u * r)
-    rhs = triple(w * r, v * r, u) + triple(w * r, v, u * r)
-    for wp, beta in covers(w):
-        if wp == w * r:
-            continue
-        m = coeff_pairing(rs, alpha, beta)
-        if m:
-            rhs += m * triple(wp, v, u * r)
-    return lhs == rhs

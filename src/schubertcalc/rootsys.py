@@ -490,11 +490,18 @@ _CARTAN_F4: Matrix = (
 def build(cartan, type_label: str | None = None) -> RootSystem:
     """Build a root system from integer Cartan data.
 
-    Raises :class:`NonFiniteTypeError` when the root closure exceeds
-    ``MAX_ROOTS`` (affine or indefinite input).
+    Raises ``ValueError`` unless ``cartan`` is a list of rows of ints (a
+    bool or a float is refused) and ``type_label`` is a string or None, and
+    :class:`NonFiniteTypeError` when the root closure exceeds ``MAX_ROOTS``
+    (affine or indefinite input).
     """
-    mat = tuple(tuple(int(x) for x in row) for row in cartan)
-    return RootSystem(mat, type_label=type_label)
+    if not isinstance(cartan, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and all(type(x) is int for x in row) for row in cartan
+    ):
+        raise ValueError("Cartan data must be a list of rows of integers")
+    if type_label is not None and not isinstance(type_label, str):
+        raise ValueError(f"group label {type_label!r} is not a string")
+    return RootSystem(tuple(map(tuple, cartan)), type_label=type_label)
 
 
 def named(label: str) -> RootSystem:

@@ -313,7 +313,7 @@ def test_acceptance_8_ordinary_triple_recurrence(s3, s4):
                     continue
                 for r_idx in range(1, rs.rank + 1):
                     if all(x.right_ascent(r_idx) for x in (w, v, u)):
-                        assert ordinary_recurrence_check(w, v, u, r_idx, engine="oracle")
+                        assert ordinary_recurrence_check(w, v, u, r_idx)
                         instances += 1
         assert instances > 0
 

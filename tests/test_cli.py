@@ -203,6 +203,27 @@ def test_group_from_cartan_file(tmp_path, capsys):
     assert code == 0 and "|W|        : 6" in out
 
 
+_NOT_ROWS = "Cartan data must be a list of rows of integers"
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"cartan": 5}, _NOT_ROWS),
+        ({"cartan": [[2, None], [-1, 2]]}, _NOT_ROWS),
+        ({"cartan": [[2, -1.5], [-1, 2]]}, _NOT_ROWS),
+        ({"cartan": [[2, -1.0], [-1, 2]]}, _NOT_ROWS),
+        ({"cartan": [[2, -1], [-1, True]]}, _NOT_ROWS),
+        ({"cartan": [[2, -1], [-1, 2]], "label": ["x"]}, "group label ['x'] is not a string"),
+    ],
+    ids=["not-rows", "null-entry", "float-entry", "integral-float-entry", "bool-entry", "list-label"],
+)
+def test_bad_group_file_is_a_usage_error(tmp_path, capsys, data, message):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "info", "--group", str(path)) == (2, "", f"error: {message}\n")
+
+
 # -- exit codes ----------------------------------------------------------------------
 
 
@@ -265,7 +286,7 @@ def _fake_expansion(monkeypatch, edit):
     """Make the oracle's cached expansion of every pair differ by ``edit``."""
     import schubertcalc.oracle as oracle
 
-    real = oracle._expansion
+    real = oracle.oracle_product
 
     def fake(w, v):
         exp = real(w, v)
@@ -273,38 +294,38 @@ def _fake_expansion(monkeypatch, edit):
         edit(w.rs, coeffs)
         return SchubertExpansion(w.rs, coeffs)
 
-    monkeypatch.setattr(oracle, "_expansion", fake)
+    monkeypatch.setattr(oracle, "oracle_product", fake)
 
 
-def test_product_both_names_a_wrong_shared_coefficient(s3, monkeypatch):
+def _mismatch(w, u, rec, orc):
+    """The stderr of ``product --engine both`` when S_w * S_w disagrees at u."""
+    return f"engine mismatch: engines disagree at ({w!r}, {w!r}, {u!r}): recurrence={rec!r}, oracle={orc!r}\n"
+
+
+def test_product_both_names_a_wrong_shared_coefficient(s3, capsys, monkeypatch):
     w = parse_element(s3, "213")
     u = parse_element(s3, "312")
-    right = product_expansion(w, w)
-    assert right.coeff(u) == 1
+    assert product_expansion(w, w).coeff(u) == 1
 
-    def edit(rs, coeffs):
-        coeffs[u] = Polynomial.integer(rs.rank, 7)
+    def edit(rs, coeffs):  # rs is the group the command loads, not s3
+        coeffs[parse_element(rs, "312")] = Polynomial.integer(rs.rank, 7)
 
     _fake_expansion(monkeypatch, edit)
-    with pytest.raises(EngineMismatchError) as exc:
-        product_expansion(w, w, engine="both")
-    assert exc.value.u is u
-    assert exc.value.recurrence_value == 1 and exc.value.oracle_value == 7
+    got = run(capsys, "product", "--group", "A2", "--w", "213", "--v", "213", "--engine", "both")
+    assert got == (3, "", _mismatch(w, u, Polynomial.one(2), Polynomial.integer(2, 7)))
 
 
-def test_product_both_names_a_term_only_the_oracle_has(s3, monkeypatch):
+def test_product_both_names_a_term_only_the_oracle_has(s3, capsys, monkeypatch):
     w = parse_element(s3, "213")
     u = s3.longest_element()
     assert product_expansion(w, w).coeff(u).is_zero()
 
-    def edit(rs, coeffs):
-        coeffs[u] = Polynomial.one(rs.rank)
+    def edit(rs, coeffs):  # rs is the group the command loads, not s3
+        coeffs[rs.longest_element()] = Polynomial.one(rs.rank)
 
     _fake_expansion(monkeypatch, edit)
-    with pytest.raises(EngineMismatchError) as exc:
-        product_expansion(w, w, engine="both")
-    assert exc.value.u is u
-    assert exc.value.recurrence_value.is_zero() and exc.value.oracle_value == 1
+    got = run(capsys, "product", "--group", "A2", "--w", "213", "--v", "213", "--engine", "both")
+    assert got == (3, "", _mismatch(w, u, Polynomial.zero(2), Polynomial.one(2)))
 
 
 def test_product_engine_both_mismatch_exit_code(capsys, monkeypatch):
@@ -312,7 +333,8 @@ def test_product_engine_both_mismatch_exit_code(capsys, monkeypatch):
         coeffs[rs.longest_element()] = Polynomial.one(rs.rank)
 
     _fake_expansion(monkeypatch, edit)
-    code, out, err = run(capsys, "product", "--group", "A2", "--w", "213", "--v", "213", "--engine", "both")
+    argv = ("product", "--group", "A2", "--w", "213", "--v", "213", "--engine", "both", "--output", "json")
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "") and err.startswith("engine mismatch: engines disagree at")
 
 

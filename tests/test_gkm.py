@@ -325,3 +325,11 @@ def test_right_dd_kills_constant_classes(s3):
     const = GkmClass(s3, [Polynomial.integer(2, 4)] * s3.order())
     for i in (1, 2):
         assert right_dd(s3.simple_root(i), const).is_zero()
+
+
+@pytest.mark.parametrize("label", ["213", "999"])
+def test_class_from_json_refuses_a_repeated_or_unknown_element(s3, label):
+    data = class_to_json(schubert_class(s3.identity))
+    data["values"][-1]["element"] = label  # "213" is already in the dump
+    with pytest.raises(ValueError, match=repr(label)):
+        class_from_json(s3, data)

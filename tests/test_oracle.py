@@ -114,7 +114,7 @@ def test_sweep_expands_each_unordered_pair_once(monkeypatch):
     monkeypatch.setattr(oracle_mod, "expand_in_schubert", counted)
     report = verify_sweep(named("A3")).to_json()
     assert len(calls) == 24 * 25 // 2
-    monkeypatch.setattr(oracle_mod, "_expansion", ordered_expansion)
+    monkeypatch.setattr(oracle_mod, "oracle_product", ordered_expansion)
     expect = verify_sweep(named("A3")).to_json()
     assert len(calls) == 24 * 25 // 2
     del report["elapsed_ms"], expect["elapsed_ms"]
