@@ -14,6 +14,7 @@ from schubertcalc import (
     covers,
     format_trace,
     named,
+    oracle_constant,
     oracle_product,
     ordinary_recurrence_check,
     perm_to_element,
@@ -420,6 +421,35 @@ def test_ordinary_recurrence_check_rejects_a_non_integer_oracle_value(s3, monkey
     e = s3.identity
     with pytest.raises(AssertionError, match="not an integer"):
         ordinary_recurrence_check(e, e, perm(s3, "132"), 1)
+
+
+def test_ordinary_recurrence_check_exhaustive(s3, s4):
+    """The ordinary cover recurrence holds for the engine's triple integrals too.
+
+    ``ordinary_recurrence_check`` reads every term off the oracle; here the
+    same identity is evaluated with ``triple_constant`` and must agree.
+    """
+    for rs in (s3, s4):
+        n = len(rs.positive_roots)
+        w0 = rs.longest_element()
+        count = 0
+        for w, v, u in itertools.product(rs.elements(), repeat=3):
+            if w.length + v.length + u.length + 2 != n:
+                continue
+            for r_idx in range(1, rs.rank + 1):
+                if not all(x.right_ascent(r_idx) for x in (w, v, u)):
+                    continue
+                r, alpha = rs.simple_reflection(r_idx), rs.simple_root(r_idx)
+                lhs = triple_constant(w, v * r, u * r)
+                rhs = triple_constant(w * r, v * r, u) + triple_constant(w * r, v, u * r)
+                for wp, beta in covers(w):
+                    if wp != w * r:
+                        rhs += coeff_pairing(rs, alpha, beta) * triple_constant(wp, v, u * r)
+                assert lhs == rhs, (w, v, u, r_idx)
+                assert ordinary_recurrence_check(w, v, u, r_idx)
+                assert lhs == oracle_constant(w, v * r, w0 * (u * r))
+                count += 1
+        assert count > 0
 
 
 # -- single constants without enumerating the group ------------------------------
