@@ -30,7 +30,6 @@ from .errors import (
     UnknownTypeError,
 )
 from .rootsys import (
-    Root,
     RootSystem,
     WeylElement,
     all_reduced_words,

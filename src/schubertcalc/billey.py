@@ -37,7 +37,7 @@ All functions are pure; per-group memo tables are filled idempotently.
 from __future__ import annotations
 
 from .polyring import Polynomial
-from .rootsys import Root, WeylElement, _first_negative, bruhat_leq, word_to_element
+from .rootsys import Root, WeylElement, _first_negative, _same_group, bruhat_leq, word_to_element
 from .gkm import GkmClass
 
 __all__ = [
@@ -56,7 +56,7 @@ def _extend(acc: dict, prefix: WeylElement, k: int, below=None) -> dict:
     With ``below`` set, only new states ``q <= below`` are kept.
     """
     rs = prefix.rs
-    factor = Polynomial.linear(prefix.act(rs.simple_roots[k]).coords)
+    factor = Polynomial.linear(prefix.act(rs.simple_roots[k]))
     zero = Polynomial.zero(rs.rank)
     nxt = dict(acc)
     for p, poly in acc.items():
@@ -89,9 +89,7 @@ def restrict(v: WeylElement, w: WeylElement, word=None) -> Polynomial:
     computation (it must be reduced and multiply to ``w``); the result is
     the same for every choice.
     """
-    rs = v.rs
-    if w.rs is not rs:
-        raise ValueError("elements of different root systems")
+    rs = _same_group(v, w)
     zero = Polynomial.zero(rs.rank)
     if word is not None:
         word = tuple(int(i) for i in word)
@@ -149,7 +147,7 @@ def bottom_restriction(w: WeylElement) -> Polynomial:
     if got is None:
         got = Polynomial.one(rs.rank)
         for beta in bottom_factors(w):
-            got = got.times_linear(beta.coords)
+            got = got.times_linear(beta)
         cache[w] = got
     return got
 

@@ -337,6 +337,7 @@ def _run_props(rs: RootSystem) -> list[str]:
 
 def _cmd_verify(args) -> int:
     rs = load_group(args.group)
+    oracle._check_sweep_cap(rs, args.force)  # every suite walks the whole group
     payload = {}
     lines = []
     mismatch = False

@@ -181,9 +181,7 @@ def unit_class(rs: RootSystem) -> GkmClass:
 def chern_class(rs: RootSystem, alpha: Root) -> GkmClass:
     """The invariant class with value ``w . (-alpha)`` at the point ``w``."""
     _check_simple(rs, alpha)
-    return GkmClass.from_function(
-        rs, lambda w: Polynomial.linear(w.act(-alpha).coords)
-    )
+    return GkmClass.from_function(rs, lambda w: -Polynomial.linear(w.act(alpha)))
 
 
 def _check_simple(rs: RootSystem, alpha: Root):
@@ -201,7 +199,7 @@ def gkm_violation(p: GkmClass) -> tuple[WeylElement, Root] | None:
         pv = p.value(v)
         for beta in rs.positive_roots:
             diff = pv - p.value(rs.reflection(beta) * v)
-            if not diff.is_zero() and not is_divisible(diff, beta.coords):
+            if not diff.is_zero() and not is_divisible(diff, beta):
                 return (v, beta)
     return None
 
@@ -243,12 +241,12 @@ def left_dd(alpha: Root, p: GkmClass) -> GkmClass:
     """
     rs = p.rs
     _check_simple(rs, alpha)
-    i = alpha.coords.index(1) + 1
+    i = alpha.index(1) + 1
     r = rs.simple_reflection(i)
 
     def value(v):
         diff = p.value(v) - act(r, p.value(r * v))
-        return divide_exact(diff, alpha.coords)
+        return divide_exact(diff, alpha)
 
     return GkmClass.from_function(rs, value)
 
@@ -261,12 +259,12 @@ def right_dd(alpha: Root, p: GkmClass) -> GkmClass:
     """
     rs = p.rs
     _check_simple(rs, alpha)
-    i = alpha.coords.index(1) + 1
+    i = alpha.index(1) + 1
     r = rs.simple_reflection(i)
 
     def value(v):
         diff = p.value(v) - p.value(v * r)
-        divisor = tuple(-c for c in v.act(alpha).coords)
+        divisor = tuple(-c for c in v.act(alpha))
         return divide_exact(diff, divisor)
 
     return GkmClass.from_function(rs, value)
@@ -284,9 +282,7 @@ def chern_times_schubert(rs: RootSystem, alpha: Root, w: WeylElement) -> Schuber
     """
     _check_simple(rs, alpha)
     rank = rs.rank
-    coeffs: dict[WeylElement, Polynomial] = {
-        w: -Polynomial.linear(w.act(alpha).coords)
-    }
+    coeffs: dict[WeylElement, Polynomial] = {w: -Polynomial.linear(w.act(alpha))}
     for wp, beta in covers(w):
         m = coeff_pairing(rs, alpha, beta)
         if m:
@@ -332,6 +328,8 @@ def class_from_json(rs: RootSystem, data: dict) -> GkmClass:
     by_label = {w.describe(): w for w in rs.elements()}
     out = [Polynomial.zero(rs.rank)] * rs.order()
     for item in values:
+        if not isinstance(item, dict) or not {"element", "poly"} <= item.keys():
+            raise ValueError(f"class dump item {item!r} needs an 'element' and a 'poly'")
         w = by_label.pop(item["element"], None)
         if w is None:
             raise ValueError(f"class dump names {item['element']!r} twice or outside the group")

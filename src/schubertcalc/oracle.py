@@ -39,7 +39,7 @@ from .errors import DimensionMismatchError, GroupTooLargeError, NonzeroResidualE
 from .gkm import GkmClass, SchubertExpansion
 from .polyring import Polynomial, _add_terms, _make, divide_exact, render
 from .recurrence import _integer, structure_constant
-from .rootsys import RootSystem, WeylElement, all_reduced_words, coeff_pairing, covers
+from .rootsys import RootSystem, WeylElement, _same_group, all_reduced_words, coeff_pairing, covers
 
 __all__ = [
     "SweepReport",
@@ -53,6 +53,15 @@ __all__ = [
 ]
 
 ORACLE_SWEEP_CAP = 120  # largest |W| swept by default
+
+
+def _check_sweep_cap(rs: RootSystem, force: bool) -> None:
+    """Refuse a group past ``ORACLE_SWEEP_CAP`` unless ``force``; every sweep walks all of W."""
+    if rs.order() > ORACLE_SWEEP_CAP and not force:
+        raise GroupTooLargeError(
+            f"|W| = {rs.order()} exceeds the oracle sweep cap {ORACLE_SWEEP_CAP}; "
+            "pass force=True to override"
+        )
 
 
 def expand_in_schubert(p: GkmClass) -> SchubertExpansion:
@@ -89,8 +98,7 @@ def _division_order(w: WeylElement) -> list[tuple[int, ...]]:
     cache = w.rs.cache("division_order")
     got = cache.get(w)
     if got is None:
-        coords = [beta.coords for beta in bottom_factors(w)]
-        got = cache[w] = sorted(coords, key=lambda f: -sum(map(bool, f)))
+        got = cache[w] = sorted(bottom_factors(w), key=lambda f: -sum(map(bool, f)))
     return got
 
 
@@ -126,6 +134,7 @@ def oracle_constant(w: WeylElement, v: WeylElement, u: WeylElement) -> Polynomia
 
     The product is commutative, so one expansion is cached per unordered pair.
     """
+    _same_group(w, v, u)
     return oracle_product(w, v).coeff(u)
 
 
@@ -220,11 +229,7 @@ def verify_sweep(rs: RootSystem, ws=None, vs=None, *, force: bool = False) -> Sw
     constant must be a nonnegative integer, and every equivariant constant
     must have nonnegative coefficients on the simple-root monomials.
     """
-    if rs.order() > ORACLE_SWEEP_CAP and not force:
-        raise GroupTooLargeError(
-            f"|W| = {rs.order()} exceeds the oracle sweep cap {ORACLE_SWEEP_CAP}; "
-            "pass force=True to override"
-        )
+    _check_sweep_cap(rs, force)
     elements = rs.elements()
     ws = list(ws) if ws is not None else elements
     vs = list(vs) if vs is not None else elements
@@ -309,7 +314,7 @@ def lemma_cover_sweep(rs: RootSystem) -> CoverSweepReport:
         for wp, beta in covers(w):
             report.covers_checked += 1
             lhs = bottom_restriction(wp)
-            rhs = restrict(w, wp).times_linear(w.act(beta).coords)
+            rhs = restrict(w, wp).times_linear(w.act(beta))
             if lhs != rhs:
                 report.violations.append(
                     f"cover ratio fails at {w.describe()} -> {wp.describe()}"

@@ -120,10 +120,9 @@ def _add_terms(out: dict[int, int], terms: dict[int, int], sign: int = 1) -> dic
 
 def _linear_units(coords, rank: int) -> list[tuple[int, int]]:
     """A linear form as (packed variable, coefficient) pairs, zeros left out."""
-    coords = _as_coords(coords)
     if len(coords) != rank:
         raise ValueError("linear form rank mismatch")
-    return [(1 << (_W * k), f) for k, f in enumerate(coords) if f]
+    return [(1 << (_W * k), int(f)) for k, f in enumerate(coords) if f]
 
 
 class _Terms(Mapping):
@@ -191,7 +190,6 @@ class Polynomial:
 
     @classmethod
     def linear(cls, coords: Sequence[int]) -> "Polynomial":
-        coords = _as_coords(coords)
         return _make(len(coords), dict(_linear_units(coords, len(coords))))
 
     # -- basic protocol --------------------------------------------------
@@ -319,12 +317,6 @@ class Polynomial:
         """Terms by descending degree, the highest variable deciding ties."""
         keys = sorted(self._t, key=lambda e: (_degree(e), e), reverse=True)
         return [(_unpack(e, self.rank), self._t[e]) for e in keys]
-
-
-def _as_coords(coords) -> tuple[int, ...]:
-    if hasattr(coords, "coords"):  # Root
-        coords = coords.coords
-    return tuple(int(c) for c in coords)
 
 
 # -- Weyl action -------------------------------------------------------------
@@ -475,9 +467,16 @@ def poly_to_json(p: Polynomial) -> list[dict]:
 
 
 def poly_from_json(data: Iterable[dict], rank: int) -> Polynomial:
-    """Inverse of :func:`poly_to_json`; ``ValueError`` on a bad exponent vector."""
+    """Inverse of :func:`poly_to_json`.
+
+    ``ValueError`` names a term that is not an int ``coeff`` with a list of int
+    ``exp`` in range: a bool, float or string is refused, never truncated.
+    """
     terms: dict[int, int] = {}
     for item in data:
-        e = _pack(tuple(int(x) for x in item["exp"]), rank)
-        terms[e] = terms.get(e, 0) + int(item["coeff"])
+        coeff, exp = (item.get("coeff"), item.get("exp")) if isinstance(item, dict) else (None, None)
+        if type(coeff) is not int or not isinstance(exp, (list, tuple)) or any(type(x) is not int for x in exp):
+            raise ValueError(f"polynomial term {item!r} needs an int 'coeff' and a list of int 'exp'")
+        e = _pack(exp, rank)
+        terms[e] = terms.get(e, 0) + coeff
     return _make(rank, {e: c for e, c in terms.items() if c})

@@ -44,7 +44,7 @@ from .billey import base_constant
 from .errors import DimensionMismatchError
 from .gkm import SchubertExpansion, _zero
 from .polyring import Polynomial, render
-from .rootsys import WeylElement, bruhat_leq, coeff_pairing, covers
+from .rootsys import WeylElement, _same_group, bruhat_leq, coeff_pairing, covers
 
 __all__ = [
     "ConstantKey",
@@ -101,9 +101,7 @@ def structure_constant(w: WeylElement, v: WeylElement, u: WeylElement) -> Polyno
     by degree where it vanishes; neither choice changes the value, and
     :func:`trace_constant` can make either one differently.
     """
-    rs = w.rs
-    if v.rs is not rs or u.rs is not rs:
-        raise ValueError("elements of different root systems")
+    rs = _same_group(w, v, u)
     return _compute(rs, w, v, u, rs.cache("constants[drop=True]"))
 
 
@@ -131,7 +129,7 @@ def _rule(rs, w, v, u, drop, first_r):
     alpha = rs.simple_roots[k]
     subs = [(1, wr, v, u._step(k)), (1, wr, vr, u)]
     if not (drop and u.length == w.length + v.length):
-        subs.append((-Polynomial.linear(w.act(alpha).coords), w, vr, u))
+        subs.append((-Polynomial.linear(w.act(alpha)), w, vr, u))
     for wp, beta in covers(w):
         if wp is not wr:
             m = coeff_pairing(rs, alpha, beta)
@@ -183,9 +181,7 @@ def trace_constant(
     ``drop_equivariant=False`` the equivariant term is written out even
     where it vanishes by degree.  Neither option changes the root value.
     """
-    rs = w.rs
-    if v.rs is not rs or u.rs is not rs:
-        raise ValueError("elements of different root systems")
+    rs = _same_group(w, v, u)
     if first_r is not None:
         if not 1 <= first_r <= rs.rank:
             raise ValueError(f"first_r={first_r} is outside 1..{rs.rank}")

@@ -28,18 +28,21 @@ under which right multiplication by ``r_i`` swaps positions ``i`` and
 ``i+1`` of the one-line word and the length of ``w`` is its inversion
 count.
 
+A root is a plain tuple of its simple-root coordinates.  Elements are
+interned per root system by ``x`` (with ``dict.setdefault``, so each stays
+unique), so they compare and hash by identity: equal elements are the same
+object, and elements of different root systems are never equal.
+
 ``RootSystem`` and ``WeylElement`` are immutable after construction and
 all operations here are pure, so instances can be shared between threads;
 internal caches and derived fields are filled idempotently (a race may
-duplicate work but never yields a torn value), and elements are interned
-with ``dict.setdefault`` so that each stays unique.
+duplicate work but never yields a torn value).
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import NamedTuple
 
 from .errors import (
     GroupTooLargeError,
@@ -49,7 +52,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Root",
     "RootSystem",
     "WeylElement",
     "build",
@@ -67,26 +69,7 @@ MAX_ROOTS = 10_000
 MAX_GROUP = 50_000
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-class Root(NamedTuple):
-    """A root written in simple-root coordinates."""
-
-    coords: tuple[int, ...]
-
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
-    @property
-    def is_positive(self) -> bool:
-        return all(c >= 0 for c in self.coords) and any(self.coords)
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coords))
-
-    def __repr__(self) -> str:
-        return f"Root{self.coords}"
+Root = tuple[int, ...]  # simple-root coordinates
 
 
 def _mat_vec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -107,34 +90,21 @@ class WeylElement:
     such step moves the length by one.  The reduced word, the inverse and
     the matrix on the simple-root basis are derived on first use.
 
-    Elements are interned per root system by ``x``; construct them through
-    ``RootSystem`` / group operations, never directly.
+    Elements are interned per root system by ``x`` and compare by identity;
+    construct them through ``RootSystem`` / group operations, never directly.
     """
 
-    __slots__ = ("rs", "x", "length", "_hash", "_next", "_word", "_inv", "_mat", "_oneline")
+    __slots__ = ("rs", "x", "length", "_next", "_word", "_inv", "_mat", "_oneline")
 
     def __init__(self, rs: "RootSystem", x: tuple[int, ...], length: int):
         self.rs = rs
         self.x = x
         self.length = length
-        self._hash = hash(x)
         self._next: list[WeylElement | None] = [None] * rs.rank  # w * r_{k+1}
         self._word = None
         self._inv = None
         self._mat = None
         self._oneline = None
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, WeylElement)
-            and self.rs is other.rs
-            and self.x == other.x
-        )
 
     def _step(self, k: int) -> "WeylElement":
         """``self * r_{k+1}``: ``x - x[k] * alpha_{k+1}``, with alpha in weight coordinates."""
@@ -197,10 +167,7 @@ class WeylElement:
         return self._mat
 
     def act(self, root: Root) -> Root:
-        return Root(_mat_vec(self.mat, root.coords))
-
-    def act_coords(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        return _mat_vec(self.mat, coords)
+        return _mat_vec(self.mat, root)
 
     def is_identity(self) -> bool:
         return self.length == 0
@@ -265,6 +232,15 @@ def _first_negative(x: tuple[int, ...]) -> int:
     raise ValueError("the identity has no right descent")
 
 
+def _same_group(w: WeylElement, *others: WeylElement) -> "RootSystem":
+    """The root system of ``w``; :class:`MixedRootSystemsError` unless ``others`` share it."""
+    rs = w.rs
+    for x in others:
+        if x.rs is not rs:
+            raise MixedRootSystemsError("elements of different root systems")
+    return rs
+
+
 class RootSystem:
     """A finite root system with its Weyl group machinery.
 
@@ -277,9 +253,7 @@ class RootSystem:
         self.type_label = type_label
         self._validate_cartan()
         self.is_type_a = cartan == _cartan_a(self.rank)
-        self.simple_roots = [
-            Root(tuple(int(i == j) for j in range(self.rank))) for i in range(self.rank)
-        ]
+        self.simple_roots = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
         # alpha_k in fundamental-weight coordinates is column k of the Cartan matrix
         self._alpha_weights = [tuple(row[k] for row in cartan) for k in range(self.rank)]
         self._close_roots()
@@ -313,12 +287,10 @@ class RootSystem:
     def _close_roots(self):
         # r_k(x) = x - <x, alpha_k_check> alpha_k moves coordinate k alone; on coroot
         # coordinates the pairing uses column k of the Cartan matrix instead of row k
-        n = self.rank
-        start = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        info: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[tuple[int, ...], int] | None]] = {
-            c: (c, None) for c in start
+        info: dict[Root, tuple[tuple[int, ...], tuple[Root, int] | None]] = {
+            c: (c, None) for c in self.simple_roots
         }
-        frontier = list(start)
+        frontier = list(self.simple_roots)
         while frontier:
             new_frontier = []
             for coords in frontier:
@@ -343,10 +315,9 @@ class RootSystem:
                                 "the Cartan matrix is not of finite type"
                             )
             frontier = new_frontier
-        order = sorted(info, key=lambda c: (sum(c), c))
-        self.positive_roots = [Root(c) for c in order]
-        self._coroots = {Root(c): info[c][0] for c in order}
-        self._root_parent = {Root(c): info[c][1] for c in order}
+        self.positive_roots = sorted(info, key=lambda c: (sum(c), c))
+        self._coroots = {c: info[c][0] for c in self.positive_roots}
+        self._root_parent = {c: info[c][1] for c in self.positive_roots}
 
     # -- elements ----------------------------------------------------------
 
@@ -380,11 +351,11 @@ class RootSystem:
         if w is None:
             parent = self._root_parent[beta]
             if parent is None:
-                w = self._simple_refl[beta.coords.index(1)]  # a simple root
+                w = self._simple_refl[beta.index(1)]  # a simple root
             else:
-                coords, i = parent
+                root, i = parent
                 r = self._simple_refl[i - 1]
-                w = r * self.reflection(Root(coords)) * r
+                w = r * self.reflection(root) * r
             self._refl_elements[idx] = w
         return w
 
@@ -424,7 +395,7 @@ class RootSystem:
         """``w_0``, found without enumerating: ``w_0^-1(rho) = -rho``."""
         return self._element((-1,) * self.rank, len(self.positive_roots))
 
-    # -- type A ------------------------------------------------------------
+    # -- caches and display ------------------------------------------------
 
     def cache(self, name: str) -> dict:
         return self.caches.setdefault(name, {})
@@ -441,7 +412,7 @@ def _weyl_order(positive_roots: list[Root]) -> int:
     counts: the number of exponents ``>= k`` is the number of positive
     roots of height ``k`` (Kostant).
     """
-    per_height = Counter(r.height for r in positive_roots)
+    per_height = Counter(map(sum, positive_roots))
     order = 1
     for k, n in per_height.items():
         order *= (k + 1) ** (n - per_height[k + 1])
@@ -529,6 +500,9 @@ def named(label: str) -> RootSystem:
     else:
         raise UnknownTypeError(f"unsupported root system label: {label!r}")
     return build(cartan, type_label=f"{family}{n}")
+
+
+# -- elements from one-line notation and from words -------------------------
 
 
 def perm_to_element(rs: RootSystem, oneline) -> WeylElement:
@@ -648,18 +622,18 @@ def coeff_pairing(rs: RootSystem, alpha: Root, beta: Root) -> int:
     -1
     """
     cache = rs.cache("coeff_pairing")
-    key = (alpha.coords, beta.coords)
+    key = (alpha, beta)
     got = cache.get(key)
     if got is None:
-        if sorted(alpha.coords) != [0] * (rs.rank - 1) + [1]:
+        if sorted(alpha) != [0] * (rs.rank - 1) + [1]:
             raise ValueError(f"{alpha!r} is not a simple root")
         if beta not in rs._root_index:
             raise ValueError(f"{beta!r} is not a positive root of this system")
-        image = rs.reflection(beta).act_coords(alpha.coords)
-        diff = tuple(a - b for a, b in zip(alpha.coords, image))
-        k = next(i for i, c in enumerate(beta.coords) if c)
-        got, rem = divmod(diff[k], beta.coords[k])
-        if rem or any(d != got * b for d, b in zip(diff, beta.coords)):
+        image = rs.reflection(beta).act(alpha)
+        diff = tuple(a - b for a, b in zip(alpha, image))
+        k = next(i for i, c in enumerate(beta) if c)
+        got, rem = divmod(diff[k], beta[k])
+        if rem or any(d != got * b for d, b in zip(diff, beta)):
             raise ArithmeticError("alpha - r_beta(alpha) is not an integer multiple of beta")
         cache[key] = got
     return got
@@ -673,4 +647,4 @@ def cartan_pairing(rs: RootSystem, gamma: Root, beta: Root) -> int:
     d = rs.coroot_coords(beta)
     A = rs.cartan
     n = rs.rank
-    return sum(d[i] * A[i][j] * gamma.coords[j] for i in range(n) for j in range(n))
+    return sum(d[i] * A[i][j] * gamma[j] for i in range(n) for j in range(n))

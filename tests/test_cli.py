@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -174,6 +175,25 @@ def test_verify_text(capsys):
     code, out, _ = run(capsys, "verify", "--group", "B2", "--suite", "sweep")
     assert code == 0
     assert "512 triples, 0 mismatches" in out
+
+
+@pytest.mark.parametrize("suite", ["cover", "props"])
+def test_verify_refuses_every_suite_past_the_sweep_cap(capsys, suite):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--group", "A5", "--suite", suite)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "error: |W| = 720 exceeds the oracle sweep cap 120; pass force=True to override\n"
+
+
+def test_verify_force_overrides_the_cap_for_cover(capsys, monkeypatch):
+    from schubertcalc import oracle
+
+    monkeypatch.setattr(oracle, "ORACLE_SWEEP_CAP", 4)  # below |W| = 6 of A2
+    code, _, err = run(capsys, "verify", "--group", "A2", "--suite", "cover")
+    assert code == 2 and "exceeds the oracle sweep cap 4" in err
+    code, out, _ = run(capsys, "verify", "--group", "A2", "--suite", "cover", "--force")
+    assert code == 0 and out.startswith("cover sweep A2: ") and "0 violations" in out
 
 
 # -- element parsing ---------------------------------------------------------------

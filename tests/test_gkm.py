@@ -247,7 +247,7 @@ def test_chern_times_schubert_at_longest(s3):
     alpha = s3.simple_root(1)
     exp = chern_times_schubert(s3, alpha, w0)
     assert set(exp.coeffs) == {w0}
-    assert exp.coeff(w0) == -Polynomial.linear(w0.act(alpha).coords)
+    assert exp.coeff(w0) == -Polynomial.linear(w0.act(alpha))
 
 
 def test_chern_times_schubert_drops_zero_pairings(s4):
@@ -325,6 +325,21 @@ def test_right_dd_kills_constant_classes(s3):
     const = GkmClass(s3, [Polynomial.integer(2, 4)] * s3.order())
     for i in (1, 2):
         assert right_dd(s3.simple_root(i), const).is_zero()
+
+
+@pytest.mark.parametrize("key", ["element", "poly"])
+def test_class_from_json_refuses_an_item_without_a_key(s3, key):
+    data = class_to_json(schubert_class(s3.identity))
+    del data["values"][0][key]
+    with pytest.raises(ValueError, match="needs an 'element' and a 'poly'"):
+        class_from_json(s3, data)
+
+
+def test_class_from_json_refuses_a_float_coefficient(s3):
+    data = class_to_json(schubert_class(s3.identity))
+    data["values"][0]["poly"] = [{"coeff": 1.5, "exp": [0, 0]}]
+    with pytest.raises(ValueError, match="1.5"):
+        class_from_json(s3, data)
 
 
 @pytest.mark.parametrize("label", ["213", "999"])

@@ -129,7 +129,7 @@ def corollary_right_act_expansion(rs, alpha, w):
     if (w * r).length > w.length:
         return SchubertExpansion(rs, {w: one})
     wr = w * r
-    coeffs = {w: one, wr: -Polynomial.linear(w.act(alpha).coords)}
+    coeffs = {w: one, wr: -Polynomial.linear(w.act(alpha))}
     for wp, beta in covers(wr):
         m = coeff_pairing(rs, alpha, beta)
         if m:
@@ -214,7 +214,7 @@ def naive_expansion(p):
             continue
         coeff = residual[idx]
         for beta in bottom_factors(w):
-            coeff = divide_exact(coeff, beta.coords)
+            coeff = divide_exact(coeff, beta)
         coeffs[w] = coeff
         for j, sv in enumerate(schubert_class(w).values):
             if sv:
@@ -247,7 +247,7 @@ def test_division_order_is_a_permutation_of_the_bottom_factors():
         rs = named(label)
         for w in rs.elements():
             order = oracle_mod._division_order(w)
-            assert sorted(order) == sorted(beta.coords for beta in bottom_factors(w))
+            assert sorted(order) == sorted(bottom_factors(w))
             got = Polynomial.one(rs.rank)
             for f in order:
                 got = got.times_linear(f)

@@ -9,6 +9,7 @@ exponents that leave their field.
 
 import json
 import random
+import re
 
 import pytest
 import sympy
@@ -170,6 +171,23 @@ def test_json_roundtrip():
         data = json.loads(json.dumps(poly_to_json(p)))
         assert poly_from_json(data, 4) == p
     assert poly_to_json(Polynomial.zero(2)) == []
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        {"coeff": 1.5, "exp": [0, 0]},
+        {"coeff": 1, "exp": [1.7, 0]},
+        {"coeff": True, "exp": [0, 0]},
+        {"coeff": "3", "exp": [0, 0]},
+        {"exp": [1, 0]},
+        {"coeff": 1},
+    ],
+    ids=["float-coeff", "float-exp", "bool-coeff", "str-coeff", "no-coeff", "no-exp"],
+)
+def test_poly_from_json_refuses_what_it_would_misread(item):
+    with pytest.raises(ValueError, match=re.escape(repr(item))):
+        poly_from_json([{"coeff": 2, "exp": [0, 1]}, item], 2)
 
 
 def test_degrees():

@@ -204,7 +204,7 @@ def test_cover_recurrence_identity_verbatim_s4(s4):
                     lhs = structure_constant(w, v * r, u)
                     rhs = structure_constant(w * r, v * r, u * r)
                     rhs = rhs + structure_constant(w * r, v, u)
-                    rhs = rhs - Polynomial.linear(w.act(alpha).coords) * structure_constant(w, v, u)
+                    rhs = rhs - Polynomial.linear(w.act(alpha)) * structure_constant(w, v, u)
                     for wp, m in cover_terms:
                         if m:
                             rhs = rhs + structure_constant(wp, v, u).scale(m)

@@ -13,8 +13,9 @@ import pytest
 from schubertcalc import (
     GroupTooLargeError,
     NonFiniteTypeError,
-    Root,
+    Polynomial,
     UnknownTypeError,
+    WeylElement,
     all_reduced_words,
     bruhat_leq,
     build,
@@ -22,7 +23,11 @@ from schubertcalc import (
     coeff_pairing,
     covers,
     named,
+    oracle_constant,
     perm_to_element,
+    restrict,
+    structure_constant,
+    trace_constant,
     word_to_element,
 )
 
@@ -93,9 +98,9 @@ def brute_bruhat_leq(v, w):
 
 def test_build_a1_a2():
     a1 = build([[2]])
-    assert [r.coords for r in a1.positive_roots] == [(1,)]
+    assert a1.positive_roots == [(1,)]
     a2 = build([[2, -1], [-1, 2]])
-    assert {r.coords for r in a2.positive_roots} == {(1, 0), (0, 1), (1, 1)}
+    assert set(a2.positive_roots) == {(1, 0), (0, 1), (1, 1)}
 
 
 @pytest.mark.parametrize(
@@ -112,7 +117,7 @@ def test_build_a1_a2():
 def test_named_against_naive_closure(label, n_pos, order):
     rs = named(label)
     naive = naive_positive_roots(rs.cartan)
-    assert {r.coords for r in rs.positive_roots} == naive
+    assert set(rs.positive_roots) == naive
     assert len(rs.positive_roots) == n_pos
     assert rs.order() == order
     assert rs.longest_element().length == n_pos
@@ -163,8 +168,8 @@ def test_group_bound_is_enforced():
 def test_simple_reflection_basics(s3):
     r1 = s3.simple_reflection(1)
     assert r1.length == 1
-    assert r1.act(s3.simple_root(1)).coords == (-1, 0)
-    assert r1.act(s3.simple_root(2)).coords == (1, 1)
+    assert r1.act(s3.simple_root(1)) == (-1, 0)
+    assert r1.act(s3.simple_root(2)) == (1, 1)
     assert (r1 * r1).is_identity()
     with pytest.raises(IndexError):
         s3.simple_reflection(3)
@@ -206,7 +211,7 @@ def test_length_known_values(s3, s4):
 def test_action_convention(s4):
     # w = 1324 sends alpha_1 = y2 - y1 to y3 - y1
     w = perm(s4, "1324")
-    assert w.act(s4.simple_root(1)).coords == (1, 1, 0)
+    assert w.act(s4.simple_root(1)) == (1, 1, 0)
 
 
 def test_right_ascent(s4):
@@ -244,7 +249,7 @@ def test_covers_of_longest_and_identity(s4):
 
 def test_covers_1324(s4):
     w1324 = perm(s4, "1324")
-    got = {(w.one_line(), beta.coords) for w, beta in covers(w1324)}
+    got = {(w.one_line(), beta) for w, beta in covers(w1324)}
     assert got == {
         ((3, 1, 2, 4), (1, 0, 0)),
         ((1, 3, 4, 2), (0, 0, 1)),
@@ -261,11 +266,11 @@ def test_covers_exhaustive_s4(s4):
             assert wp == w * s4.reflection(beta)
             assert wp.length == w.length + 1
         expect = {
-            (w * s4.reflection(beta), beta.coords)
+            (w * s4.reflection(beta), beta)
             for beta in s4.positive_roots
             if (w * s4.reflection(beta)).length == w.length + 1
         }
-        assert {(wp, beta.coords) for wp, beta in got} == expect
+        assert set(got) == expect
 
 
 # -- Bruhat order ------------------------------------------------------------------
@@ -361,9 +366,9 @@ def test_all_reduced_words_s4(s4):
 def test_pairing_known_values(s4):
     a1 = s4.simple_root(1)
     assert coeff_pairing(s4, a1, a1) == 2
-    assert coeff_pairing(s4, a1, Root((0, 1, 1))) == -1  # transposition (2 4)
-    assert coeff_pairing(s4, a1, Root((1, 1, 0))) == 1  # transposition (1 3)
-    assert coeff_pairing(s4, a1, Root((0, 0, 1))) == 0
+    assert coeff_pairing(s4, a1, (0, 1, 1)) == -1  # transposition (2 4)
+    assert coeff_pairing(s4, a1, (1, 1, 0)) == 1  # transposition (1 3)
+    assert coeff_pairing(s4, a1, (0, 0, 1)) == 0
 
 
 def test_pairing_straddle_rule_on_s4_covers(s4):
@@ -409,7 +414,7 @@ def test_pairing_memo_keeps_rejecting_bad_input():
             with pytest.raises(ValueError):
                 coeff_pairing(rs, highest, rs.simple_root(1))
             with pytest.raises(ValueError):
-                coeff_pairing(rs, rs.simple_root(1), -highest)
+                coeff_pairing(rs, rs.simple_root(1), tuple(-c for c in highest))
         assert len(rs.cache("coeff_pairing")) == rs.rank
 
 
@@ -440,6 +445,36 @@ def test_mixed_root_systems_are_rejected(s3, b2):
         s3.simple_reflection(1) * b2.simple_reflection(1)
     with pytest.raises(MixedRootSystemsError):
         bruhat_leq(s3.identity, b2.identity)
+
+
+@pytest.mark.parametrize(
+    "fn", [structure_constant, trace_constant, oracle_constant, restrict], ids=lambda fn: fn.__name__
+)
+def test_every_entry_point_refuses_mixed_groups(fn):
+    from schubertcalc import MixedRootSystemsError
+
+    a2, a2_again = named("A2"), named("A2")
+    w, v = perm(a2, "231"), perm(a2, "213")
+    assert oracle_constant(w, v, w) == Polynomial.variable(2, 1)
+    args = (v, perm(a2_again, "321")) if fn is restrict else (w, v, perm(a2_again, "231"))
+    with pytest.raises(MixedRootSystemsError, match="elements of different root systems"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_equal_elements_are_the_same_object(label):
+    # equality and hashing rest on interning: every route to an element returns it
+    assert WeylElement.__hash__ is object.__hash__
+    assert WeylElement.__eq__ is object.__eq__
+    rs = named(label)
+    elements = rs.elements()
+    for w in elements:
+        assert word_to_element(rs, w.reduced_word()) is w
+        assert w.inverse().inverse() is w
+        assert w * rs.identity is w
+        if rs.is_type_a:
+            assert perm_to_element(rs, w.one_line()) is w
+    assert rs.longest_element() is elements[-1]
 
 
 def _simple_reflection_matrix(cartan, i):
