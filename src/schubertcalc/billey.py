@@ -28,8 +28,8 @@ column (as for :func:`base_constant`), runs a Bruhat-pruned pass instead.
 
 Two special values get their own entry points: the bottom restriction
 ``S_w|_w`` (a product of positive roots, by the closed formula) and the
-restriction at the longest element, which is the base case of the
-recursive structure-constant engine.
+restriction at the longest element, the recursive engine's base case,
+which that engine's value memo keeps, so :func:`base_constant` keeps none.
 
 All functions are pure; per-group memo tables are filled idempotently.
 """
@@ -37,7 +37,7 @@ All functions are pure; per-group memo tables are filled idempotently.
 from __future__ import annotations
 
 from .polyring import Polynomial
-from .rootsys import Root, WeylElement, _first_negative, _same_group, bruhat_leq, word_to_element
+from .rootsys import Root, WeylElement, _first_negative, _per_group, _same_group, bruhat_leq, word_to_element
 from .gkm import GkmClass
 
 __all__ = [
@@ -139,19 +139,16 @@ def bottom_factors(w: WeylElement) -> list[Root]:
     return [b for b in rs.positive_roots if sum(d * c for d, c in zip(rs.coroot_coords(b), x)) < 0]
 
 
+@_per_group("bottom")
 def bottom_restriction(w: WeylElement) -> Polynomial:
     """``S_w|_w`` as a polynomial: the product of the bottom factors."""
-    rs = w.rs
-    cache = rs.cache("bottom")
-    got = cache.get(w)
-    if got is None:
-        got = Polynomial.one(rs.rank)
-        for beta in bottom_factors(w):
-            got = got.times_linear(beta)
-        cache[w] = got
+    got = Polynomial.one(w.rs.rank)
+    for beta in bottom_factors(w):
+        got = got.times_linear(beta)
     return got
 
 
+@_per_group("schubert")
 def schubert_class(w: WeylElement) -> GkmClass:
     """The Schubert class of ``w`` as a GKM class; memoized per group.
 
@@ -159,26 +156,14 @@ def schubert_class(w: WeylElement) -> GkmClass:
     ``l(w)``, with bottom value :func:`bottom_restriction`.
     """
     rs = w.rs
-    cache = rs.cache("schubert")
-    got = cache.get(w)
-    if got is None:
-        zero = Polynomial.zero(rs.rank)
-        values = [restrict_all(v).get(w, zero) for v in rs.elements()]
-        got = GkmClass(rs, values)
-        cache[w] = got
-    return got
+    zero = Polynomial.zero(rs.rank)
+    return GkmClass(rs, [restrict_all(v).get(w, zero) for v in rs.elements()])
 
 
 def base_constant(v: WeylElement) -> Polynomial:
-    """The restriction of ``S_v`` at the longest element.
+    """The restriction of ``S_v`` at the longest element; kept in no table.
 
-    This is the structure constant ``c_{w0, v}^{w0}``, the base case of
-    the recursive engine.
+    This is ``c_{w0, v}^{w0}``, the engine's base case, which its value memo
+    holds; a trace replay checks each base leaf against it.
     """
-    rs = v.rs
-    cache = rs.cache("base_constant")
-    got = cache.get(v)
-    if got is None:
-        got = restrict(v, rs.longest_element())
-        cache[v] = got
-    return got
+    return restrict(v, v.rs.longest_element())

@@ -28,7 +28,6 @@ from pathlib import Path
 
 from . import billey, oracle, recurrence
 from .errors import (
-    DimensionMismatchError,
     EngineMismatchError,
     NonzeroResidualError,
     NotDivisibleError,
@@ -447,7 +446,7 @@ def main(argv=None) -> int:
     except (NotDivisibleError, NonzeroResidualError, AssertionError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return INVARIANT_EXIT
-    except (DimensionMismatchError, SchubertError, ValueError) as exc:
+    except (SchubertError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

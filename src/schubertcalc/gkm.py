@@ -322,7 +322,9 @@ def class_to_json(p: GkmClass) -> dict:
 
 
 def class_from_json(rs: RootSystem, data: dict) -> GkmClass:
-    values = data["values"]
+    values = data.get("values") if isinstance(data, dict) else None
+    if not isinstance(values, list):
+        raise ValueError("class dump must be a dict with a list 'values'")
     if len(values) != rs.order():
         raise ValueError("class dump does not cover the whole group")
     by_label = {w.describe(): w for w in rs.elements()}

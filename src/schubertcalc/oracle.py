@@ -39,7 +39,10 @@ from .errors import DimensionMismatchError, GroupTooLargeError, NonzeroResidualE
 from .gkm import GkmClass, SchubertExpansion
 from .polyring import Polynomial, _add_terms, _make, divide_exact, render
 from .recurrence import _integer, structure_constant
-from .rootsys import RootSystem, WeylElement, _same_group, all_reduced_words, coeff_pairing, covers
+from .rootsys import (
+    RootSystem, WeylElement, _per_group, _same_group, all_reduced_words, coeff_pairing, covers,
+    word_to_element,
+)
 
 __all__ = [
     "SweepReport",
@@ -82,7 +85,7 @@ def expand_in_schubert(p: GkmClass) -> SchubertExpansion:
         for f in _division_order(w):
             coeff = divide_exact(coeff, f)
         coeffs[w] = coeff
-        for sv, points in _support_by_value(w, idx):
+        for sv, points in _support_by_value(w):
             d = (coeff * sv)._t
             for j in points:
                 if residual[j] is shared[j]:
@@ -93,30 +96,25 @@ def expand_in_schubert(p: GkmClass) -> SchubertExpansion:
     return SchubertExpansion(rs, coeffs)
 
 
+@_per_group("division_order")
 def _division_order(w: WeylElement) -> list[tuple[int, ...]]:
     """The bottom factors of ``w``, most nonzero coordinates first; memoized."""
-    cache = w.rs.cache("division_order")
-    got = cache.get(w)
-    if got is None:
-        got = cache[w] = sorted(bottom_factors(w), key=lambda f: -sum(map(bool, f)))
-    return got
+    return sorted(bottom_factors(w), key=lambda f: -sum(map(bool, f)))
 
 
-def _support_by_value(w: WeylElement, idx: int) -> list[tuple[Polynomial, list[int]]]:
+@_per_group("schubert_by_value")
+def _support_by_value(w: WeylElement) -> list[tuple[Polynomial, list[int]]]:
     """The support of ``S_w`` grouped by value; memoized once ``S_w`` is checked
-    to vanish below ``w``'s index ``idx``, the points elimination must not touch."""
-    cache = w.rs.cache("schubert_by_value")
-    got = cache.get(w)
-    if got is None:
-        values = schubert_class(w).values
-        if any(values[:idx]):
-            raise NonzeroResidualError(f"S_{w!r} is nonzero below its own index {idx}")
-        groups: dict[Polynomial, list[int]] = {}
-        for j, sv in enumerate(values):
-            if sv:
-                groups.setdefault(sv, []).append(j)
-        got = cache[w] = list(groups.items())
-    return got
+    to vanish below ``w``'s own index, the points elimination must not touch."""
+    idx = w.rs.element_index(w)
+    values = schubert_class(w).values
+    if any(values[:idx]):
+        raise NonzeroResidualError(f"S_{w!r} is nonzero below its own index {idx}")
+    groups: dict[Polynomial, list[int]] = {}
+    for j, sv in enumerate(values):
+        if sv:
+            groups.setdefault(sv, []).append(j)
+    return list(groups.items())
 
 
 def oracle_product(w: WeylElement, v: WeylElement) -> SchubertExpansion:
@@ -234,6 +232,10 @@ def verify_sweep(rs: RootSystem, ws=None, vs=None, *, force: bool = False) -> Sw
     ws = list(ws) if ws is not None else elements
     vs = list(vs) if vs is not None else elements
     report = SweepReport(rs.type_label or f"rank{rs.rank}")
+
+    def where(w, v, u, **values):
+        return {"w": w.describe(), "v": v.describe(), "u": u.describe(), **values}
+
     t0 = time.perf_counter()
     for w in ws:
         for v in vs:
@@ -243,24 +245,15 @@ def verify_sweep(rs: RootSystem, ws=None, vs=None, *, force: bool = False) -> Sw
                 rec = structure_constant(w, v, u)
                 orc = expansion.coeff(u)
                 if rec != orc:
-                    report.mismatches.append(
-                        {
-                            "w": w.describe(),
-                            "v": v.describe(),
-                            "u": u.describe(),
-                            "recurrence": render(rec),
-                            "oracle": render(orc),
-                        }
-                    )
+                    report.mismatches.append(where(w, v, u, recurrence=render(rec), oracle=render(orc)))
                 if rec.is_zero():
                     continue
                 report.max_coeff = max(report.max_coeff, rec.max_abs_coeff())
-                where = {"w": w.describe(), "v": v.describe(), "u": u.describe()}
                 if u.length == w.length + v.length:
                     if rec.homogeneous_degree() != 0 or rec.constant_term() < 0:
-                        report.ordinary_violations.append(where | {"value": render(rec)})
+                        report.ordinary_violations.append(where(w, v, u, value=render(rec)))
                 if any(c < 0 for c in rec.terms.values()):
-                    report.coeff_violations.append(where | {"value": render(rec)})
+                    report.coeff_violations.append(where(w, v, u, value=render(rec)))
     report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return report
 
@@ -324,9 +317,7 @@ def lemma_cover_sweep(rs: RootSystem) -> CoverSweepReport:
                 removable = 0
                 for b in range(len(word)):
                     sub = word[:b] + word[b + 1:]
-                    x = rs.identity
-                    for i in sub:
-                        x = x * rs.simple_reflection(i)
+                    x = word_to_element(rs, sub)
                     if x.length == len(sub) and x == w:
                         removable += 1
                 if removable != 1:

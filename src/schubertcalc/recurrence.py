@@ -20,16 +20,16 @@ so the recursion terminates at the base case ``w = w0``, where the
 constant is the fixed-point restriction ``S_v|_{w0}`` when ``u = w0`` and
 zero otherwise.  Fast zero tests (Bruhat support and degree) prune the
 tree; in the ordinary case ``l(u) = l(w) + l(v)`` the equivariant term is
-dropped by degree (an optimization that is tested against the trace fold's
-undropped path).
+dropped by degree (an optimization that a replay of an undropped trace
+checks).
 
 The rule is written once (``_rule``): at a triple it names the branch
-and lists the weighted sub-constants it sums.  Two folds walk it: the
-memoized value fold behind ``structure_constant``, and the trace fold
-behind ``trace_constant``, which records every rule application for replay
-and display.
+and lists the weighted sub-constants it sums.  One evaluator, the memoized
+fold behind ``structure_constant``, adds them up.  Traces read it:
+``trace_constant`` records every rule application and takes each value
+from the evaluator, and ``replay_trace`` checks each application once.
 
-The value fold takes no options: it always starts at the least ascent and
+The evaluator takes no options: it always starts at the least ascent and
 always drops by degree, so it keeps one memo table per root system.  The
 pair ``(w, v)`` is stored in a canonical order, which is safe because the
 constants are symmetric in ``w`` and ``v`` (independently verified by the
@@ -67,9 +67,9 @@ class ConstantKey(NamedTuple):
 class TraceNode(NamedTuple):
     """One rule application in a structure-constant derivation.
 
-    ``children`` pairs each sub-constant with its weight; re-evaluating
-    the weighted sum bottom-up reproduces ``value`` at every internal
-    node (see :func:`replay_trace`).
+    ``children`` pairs each sub-constant with its weight; ``value`` is the
+    value engine's, and at every inner node it is the weighted sum of the
+    children's values (see :func:`replay_trace`).
     """
 
     key: ConstantKey
@@ -108,24 +108,22 @@ def structure_constant(w: WeylElement, v: WeylElement, u: WeylElement) -> Polyno
 def _rule(rs, w, v, u, drop, first_r):
     """One application of the recurrence at a triple that is not a fast zero.
 
-    Returns ``(rule, r, leaf, subs)``: the rule name, the 1-based reflection
-    (None at the base), the leaf value (the base value, else zero) and the
-    weighted sub-constants ``(weight, w', v', u')``, in a fixed order, whose
-    sum with the leaf value is the constant.  A weight is an int, or the
+    Returns ``(rule, r, subs)``: the rule name, the 1-based reflection
+    (None at the base) and the weighted sub-constants ``(weight, w', v', u')``,
+    in a fixed order, whose sum is the constant; at the base, where there are
+    none, the constant is :func:`base_constant`.  A weight is an int, or the
     polynomial ``-(w.alpha)`` of the equivariant term.
     """
-    zero = _zero(rs.rank)
-    nroots = len(rs.positive_roots)
-    if w.length == nroots:  # w = w0; support test already forced u = w0
-        return "base", None, base_constant(v) if u.length == nroots else zero, ()
+    if w.length == len(rs.positive_roots):  # w = w0; support test already forced u = w0
+        return "base", None, ()
     k = _ascent(w, first_r)
     if v.x[k] > 0:
         if u.x[k] > 0:
-            return "dc-cycle-B", k + 1, zero, ((1, w._step(k), v, u._step(k)),)
-        return "dc-trivial", k + 1, zero, ()
+            return "dc-cycle-B", k + 1, ((1, w._step(k), v, u._step(k)),)
+        return "dc-trivial", k + 1, ()
     wr, vr = w._step(k), v._step(k)
     if not u.x[k] > 0:
-        return "dc-cycle-A", k + 1, zero, ((1, wr, vr, u),)
+        return "dc-cycle-A", k + 1, ((1, wr, vr, u),)
     alpha = rs.simple_roots[k]
     subs = [(1, wr, v, u._step(k)), (1, wr, vr, u)]
     if not (drop and u.length == w.length + v.length):
@@ -135,7 +133,7 @@ def _rule(rs, w, v, u, drop, first_r):
             m = coeff_pairing(rs, alpha, beta)
             if m:
                 subs.append((m, wp, vr, u))
-    return "recurrence", k + 1, zero, subs
+    return "recurrence", k + 1, subs
 
 
 def _compute(rs, w, v, u, memo):
@@ -147,7 +145,8 @@ def _compute(rs, w, v, u, memo):
     got = memo.get(key)
     if got is not None:
         return got
-    _, _, got, subs = _rule(rs, w, v, u, True, None)
+    rule, _, subs = _rule(rs, w, v, u, True, None)
+    got = base_constant(v) if rule == "base" else zero
     for weight, a, b, c in subs:
         term = _compute(rs, a, b, c, memo)
         if term is zero:  # the shared zero; a zero it misses is added harmlessly
@@ -173,13 +172,13 @@ def trace_constant(
     drop_equivariant: bool = True,
     first_r: int | None = None,
 ) -> TraceNode:
-    """Like :func:`structure_constant` but returns the full derivation tree.
+    """The derivation tree of :func:`structure_constant`, valued by its memo.
 
     ``first_r`` overrides the reflection at the root step only (it must be
     an ascent of ``w`` in ``1..rank``, else ``ValueError`` is raised); the
     recursion below always uses the least ascent.  With
     ``drop_equivariant=False`` the equivariant term is written out even
-    where it vanishes by degree.  Neither option changes the root value.
+    where it vanishes by degree.  Neither option changes a value.
     """
     rs = _same_group(w, v, u)
     if first_r is not None:
@@ -187,8 +186,7 @@ def trace_constant(
             raise ValueError(f"first_r={first_r} is outside 1..{rs.rank}")
         if not w.right_ascent(first_r):
             raise ValueError(f"first_r={first_r} is not an ascent of {w!r}")
-    nodes: dict[tuple, TraceNode] = {}
-    return _trace(rs, w, v, u, drop_equivariant, nodes, first_r=first_r)
+    return _trace(rs, w, v, u, drop_equivariant, {}, first_r=first_r)
 
 
 def _trace(rs, w, v, u, drop, nodes, first_r=None):
@@ -198,50 +196,46 @@ def _trace(rs, w, v, u, drop, nodes, first_r=None):
         if node is not None:
             return node
     if _fast_zero(w, v, u):
-        node = TraceNode(key, "degree-zero", None, [], _zero(rs.rank))
+        rule, r, subs = "degree-zero", None, ()
     else:
-        rule, r, val, subs = _rule(rs, w, v, u, drop, first_r)
-        children = []
-        for weight, a, b, c in subs:
-            if type(weight) is int:
-                weight = Polynomial.integer(rs.rank, weight)
-            child = _trace(rs, a, b, c, drop, nodes)
-            children.append((weight, child))
-            val = val + weight * child.value
-        node = TraceNode(key, rule, r, children, val)
+        rule, r, subs = _rule(rs, w, v, u, drop, first_r)
+    children = []
+    for weight, a, b, c in subs:
+        if type(weight) is int:
+            weight = Polynomial.integer(rs.rank, weight)
+        children.append((weight, _trace(rs, a, b, c, drop, nodes)))
+    node = TraceNode(key, rule, r, children, structure_constant(w, v, u))
     if first_r is None:
         nodes[key] = node
     return node
 
 
 def replay_trace(node: TraceNode) -> bool:
-    """Re-evaluate a derivation tree bottom-up and confirm every stored value.
+    """Check each rule application of a derivation tree once, by node identity.
 
-    Leaves are recomputed from first principles (base restrictions and the
-    zero rules), internal nodes from their children's replayed values.
+    A degree-zero leaf must be a fast zero, a base leaf :func:`base_constant`,
+    a dc-trivial leaf zero, and an inner node the weighted sum of its children's values.
     """
     rs = node.key.w.rs
-    nroots = len(rs.positive_roots)
-
-    def walk(n: TraceNode) -> Polynomial:
+    seen, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
         w, v, u = n.key
+        val = Polynomial.zero(rs.rank)
         if n.rule == "degree-zero":
             if not _fast_zero(w, v, u):
                 raise AssertionError(f"degree-zero leaf at {n.key} is not a fast zero")
-            val = Polynomial.zero(rs.rank)
         elif n.rule == "base":
-            val = base_constant(v) if u.length == nroots else Polynomial.zero(rs.rank)
-        elif n.rule == "dc-trivial":
-            val = Polynomial.zero(rs.rank)
-        else:
-            val = Polynomial.zero(rs.rank)
+            val = base_constant(v)
+        elif n.rule != "dc-trivial":
             for weight, child in n.children:
-                val = val + weight * walk(child)
+                val = val + weight * child.value
+                todo.append(child)
         if val != n.value:
             raise AssertionError(f"trace replay mismatch at {n.key}")
-        return val
-
-    walk(node)
     return True
 
 

@@ -41,6 +41,7 @@ duplicate work but never yields a torn value).
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 
@@ -239,6 +240,19 @@ def _same_group(w: WeylElement, *others: WeylElement) -> "RootSystem":
         if x.rs is not rs:
             raise MixedRootSystemsError("elements of different root systems")
     return rs
+
+
+def _per_group(name: str):
+    """Memoize a function of one element in its group's table ``name``; fills are idempotent."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def memoized(w):
+            table = w.rs.cache(name)
+            if w not in table:
+                table[w] = fn(w)
+            return table[w]
+        return memoized
+    return decorate
 
 
 class RootSystem:
@@ -534,24 +548,21 @@ def word_to_element(rs: RootSystem, word) -> WeylElement:
     return w
 
 
+@_per_group("covers")
 def covers(w: WeylElement) -> list[tuple[WeylElement, Root]]:
     """All pairs (w', beta) with w' = w * r_beta and l(w') = l(w) + 1.
 
     Ordered by the canonical positive-root order (height, then coords).
     """
     rs = w.rs
-    cache = rs.cache("covers")
-    got = cache.get(w)
-    if got is None:
-        got = []
-        for beta in rs.positive_roots:
-            # l(w r_beta) > l(w) iff w(beta) > 0 iff <w^-1(rho), beta_check> > 0
-            if sum(d * c for d, c in zip(rs._coroots[beta], w.x)) <= 0:
-                continue
-            wp = w * rs.reflection(beta)
-            if wp.length == w.length + 1:
-                got.append((wp, beta))
-        cache[w] = got
+    got = []
+    for beta in rs.positive_roots:
+        # l(w r_beta) > l(w) iff w(beta) > 0 iff <w^-1(rho), beta_check> > 0
+        if sum(d * c for d, c in zip(rs._coroots[beta], w.x)) <= 0:
+            continue
+        wp = w * rs.reflection(beta)
+        if wp.length == w.length + 1:
+            got.append((wp, beta))
     return got
 
 
@@ -593,19 +604,15 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     return got
 
 
+@_per_group("all_words")
 def all_reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
     """Every reduced word of ``w``, in a deterministic order."""
-    cache = w.rs.cache("all_words")
-    got = cache.get(w)
-    if got is None:
-        if w.length == 0:
-            got = [()]
-        else:
-            got = []
-            for i in w.right_descents():
-                shorter = w * w.rs.simple_reflection(i)
-                got.extend(word + (i,) for word in all_reduced_words(shorter))
-        cache[w] = got
+    if w.length == 0:
+        return [()]
+    got = []
+    for i in w.right_descents():
+        shorter = w * w.rs.simple_reflection(i)
+        got.extend(word + (i,) for word in all_reduced_words(shorter))
     return got
 
 

@@ -235,8 +235,16 @@ _NOT_ROWS = "Cartan data must be a list of rows of integers"
         ({"cartan": [[2, -1.0], [-1, 2]]}, _NOT_ROWS),
         ({"cartan": [[2, -1], [-1, True]]}, _NOT_ROWS),
         ({"cartan": [[2, -1], [-1, 2]], "label": ["x"]}, "group label ['x'] is not a string"),
+        ({"cartan": []}, "Cartan matrix must be square and nonempty"),
+        ({"cartan": [[2, -1]]}, "Cartan matrix must be square and nonempty"),
+        ({"cartan": [[3]]}, "Cartan matrix must have 2 on the diagonal"),
+        ({"cartan": [[2, 1], [1, 2]]}, "off-diagonal Cartan entries must be <= 0"),
+        ({"cartan": [[2, 0], [-1, 2]]}, "Cartan zero pattern must be symmetric"),
     ],
-    ids=["not-rows", "null-entry", "float-entry", "integral-float-entry", "bool-entry", "list-label"],
+    ids=[
+        "not-rows", "null-entry", "float-entry", "integral-float-entry", "bool-entry", "list-label",
+        "empty", "not-square", "bad-diagonal", "positive-off-diagonal", "asymmetric-zeros",
+    ],
 )
 def test_bad_group_file_is_a_usage_error(tmp_path, capsys, data, message):
     path = tmp_path / "group.json"
@@ -268,6 +276,32 @@ def test_mismatch_exit_code(capsys, monkeypatch):
     assert code == 3 and "engine mismatch" in err
 
 
+def test_verify_sweep_mismatch_exits_3(capsys, monkeypatch):
+    from schubertcalc import oracle
+
+    real = oracle.structure_constant
+
+    def off_by_one_at_the_top(w, v, u):
+        value = real(w, v, u)
+        return value + Polynomial.one(2) if (w.length, v.length, u.length) == (0, 0, 3) else value
+
+    monkeypatch.setattr(oracle, "structure_constant", off_by_one_at_the_top)
+    code, out, _ = run(capsys, "verify", "--group", "A2", "--suite", "sweep")
+    assert code == 3
+    assert [line for line in out.splitlines() if "MISMATCH at" in line] == [
+        "  MISMATCH at (123, 123, 321): recurrence=1 oracle=0"
+    ]
+
+
+def test_verify_props_violation_exits_4(capsys, monkeypatch):
+    import schubertcalc.gkm
+
+    monkeypatch.setattr(schubertcalc.gkm, "is_gkm", lambda cls: False)
+    code, out, _ = run(capsys, "verify", "--group", "A2", "--suite", "props")
+    assert code == 4
+    assert "GKM fails for the Schubert class of 123" in out
+
+
 def test_invariant_exit_code(capsys, monkeypatch):
     import schubertcalc.cli as cli
 
@@ -287,6 +321,19 @@ def test_constant_engine_oracle_matches_recurrence(capsys, group, w, v, u, value
     argv = ("constant", "--group", group, "--w", w, "--v", v, "--u", u)
     assert run(capsys, *argv, "--engine", "recurrence") == (0, value + "\n", "")
     assert run(capsys, *argv, "--engine", "oracle") == (0, value + "\n", "")
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_product_engine_oracle_matches_recurrence(capsys, output):
+    argv = ("product", "--group", "A3", "--w", "2143", "--v", "1324", "--output", output)
+    code, rec, _ = run(capsys, *argv, "--engine", "recurrence")
+    assert code == 0 and rec.count("S[") + rec.count('"element"') >= 2
+    code, orc, err = run(capsys, *argv, "--engine", "oracle")
+    assert (code, err) == (0, "")
+    if output == "json":
+        rec, orc = json.loads(rec), json.loads(orc)
+        assert (rec.pop("engine"), orc.pop("engine")) == ("recurrence", "oracle")
+    assert orc == rec
 
 
 def test_restrict_json(capsys):

@@ -335,6 +335,12 @@ def test_class_from_json_refuses_an_item_without_a_key(s3, key):
         class_from_json(s3, data)
 
 
+@pytest.mark.parametrize("data", [{}, {"values": 5}, {"values": None}, []])
+def test_class_from_json_refuses_a_dump_without_a_values_list(s3, data):
+    with pytest.raises(ValueError, match="class dump must be a dict with a list 'values'"):
+        class_from_json(s3, data)
+
+
 def test_class_from_json_refuses_a_float_coefficient(s3):
     data = class_to_json(schubert_class(s3.identity))
     data["values"][0]["poly"] = [{"coeff": 1.5, "exp": [0, 0]}]

@@ -310,6 +310,42 @@ def test_replay_rejects_a_forged_degree_zero_leaf(s4):
         replay_trace(forged)
 
 
+def test_replay_rejects_a_forged_inner_value(s4):
+    node = trace_constant(perm(s4, "1234"), perm(s4, "2413"), perm(s4, "2413"), first_r=2)
+    weight, inner = node.children[0]
+    assert inner.rule == "recurrence" and inner.value == Polynomial.one(3)
+    forged = node._replace(children=[(weight, inner._replace(value=Polynomial.zero(3)))])
+    with pytest.raises(AssertionError, match="trace replay mismatch"):
+        replay_trace(forged)
+
+
+def test_replay_checks_each_distinct_node_once(monkeypatch, s6):
+    import schubertcalc.recurrence as rec
+
+    node = trace_constant(perm(s6, "532164"), perm(s6, "132546"), perm(s6, "642153"))
+    paths, distinct, todo = 0, {}, [node]
+    while todo:
+        n = todo.pop()
+        paths += 1
+        distinct[id(n)] = n
+        todo.extend(child for _, child in n.children)
+    bases = sum(n.rule == "base" for n in distinct.values())
+    assert paths > len(distinct) and bases > 0  # the tree shares nodes
+    calls, real = [], rec.base_constant
+    monkeypatch.setattr(rec, "base_constant", lambda v: calls.append(v) or real(v))
+    assert replay_trace(node)
+    assert len(calls) == bases
+
+
+def test_base_constants_keep_no_table():
+    rs = named("A3")
+    w0 = rs.longest_element()
+    node = trace_constant(rs.simple_reflection(1), rs.simple_reflection(2), w0, drop_equivariant=False)
+    assert replay_trace(node)
+    assert structure_constant(w0, rs.identity, w0) == Polynomial.one(3)
+    assert "base_constant" not in rs.caches
+
+
 def test_trace_of_worked_example_rule_sequence(s4):
     node = trace_constant(perm(s4, "1234"), perm(s4, "2413"), perm(s4, "2413"), first_r=2)
     assert node.value == Polynomial.one(3)
