@@ -131,8 +131,7 @@ def restrict_all(w: WeylElement) -> dict[WeylElement, Polynomial]:
 def bottom_factors(w: WeylElement) -> list[Root]:
     """The positive roots beta with ``r_beta w < w``, in canonical order.
 
-    Their product is the bottom restriction ``S_w|_w``; to divide by it, divide
-    by these one at a time, most nonzero coordinates first (as the oracle does).
+    Their product is the bottom restriction ``S_w|_w``.
     """
     rs = w.rs
     x = w.inverse().x  # w(rho); beta is a factor iff <w(rho), beta_check> < 0

@@ -4,10 +4,13 @@ Any GKM class expands uniquely in the Schubert classes over the base
 ring, because restriction is upper triangular with respect to Bruhat
 order: ``S_w`` is supported on ``{v >= w}`` and its bottom value is the
 product of the bottom factors.  Walking the group in increasing length,
-the coefficient on ``S_w`` is the residual value at ``w`` divided exactly
-by that product, dividing by the factors with the most nonzero coordinates
-first; subtracting ``coeff * S_w`` clears the point and never touches
-earlier ones (a check per memoized class guards this triangularity).
+the coefficient on ``S_w`` is the residual value at ``w`` divided by
+``S_w|_w`` in one triangular solve over packed keys; subtracting
+``coeff * S_w`` then clears the point, which checks the quotient, and never
+touches earlier ones (a check per memoized class guards this triangularity
+and that ``S_w|_w`` is the product of the bottom factors).  A residual that
+survives means the input is not a class (``NotDivisibleError``); a memoized
+class that fails its check is corrupt (``NonzeroResidualError``).
 
 Values repeat: by the right action ``S_u . r_i = S_u`` for every ascent
 ``u r_i > u``, so ``S_u`` is constant on right cosets of the parabolic
@@ -33,11 +36,12 @@ together with uniqueness of the removable letter in every reduced word.
 from __future__ import annotations
 
 import time
+from functools import reduce
 
 from .billey import bottom_factors, bottom_restriction, restrict, schubert_class
-from .errors import DimensionMismatchError, GroupTooLargeError, NonzeroResidualError
+from .errors import DimensionMismatchError, GroupTooLargeError, NonzeroResidualError, NotDivisibleError
 from .gkm import GkmClass, SchubertExpansion
-from .polyring import Polynomial, _add_terms, _make, divide_exact, render
+from .polyring import _FIELD, _W, Polynomial, _add_terms, _degree, _guard, _make, render
 from .recurrence import _integer, structure_constant
 from .rootsys import (
     RootSystem, WeylElement, _per_group, _same_group, all_reduced_words, coeff_pairing, covers,
@@ -70,9 +74,14 @@ def _check_sweep_cap(rs: RootSystem, force: bool) -> None:
 def expand_in_schubert(p: GkmClass) -> SchubertExpansion:
     """Expand a class in the Schubert basis by triangular elimination.
 
-    Raises :class:`NotDivisibleError` when the input is not a class and
-    :class:`NonzeroResidualError` when a memoized Schubert class is corrupt;
-    these are never silently absorbed.
+    At each point ``u`` of the support, in increasing length, the coefficient
+    is one quotient of the residual by ``S_u|_u`` (see :func:`_quotient`),
+    left unchecked: the subtraction of ``coeff * S_u`` that follows must clear
+    the residual at ``u``, and that is the check.
+
+    Raises :class:`NotDivisibleError` when the input is not a class (a
+    residual is not a multiple of ``S_u|_u``) and :class:`NonzeroResidualError`
+    when a memoized Schubert class is corrupt; these are never silently absorbed.
     """
     rs = p.rs
     shared = [val._t for val in p.values]
@@ -81,35 +90,131 @@ def expand_in_schubert(p: GkmClass) -> SchubertExpansion:
     for idx, w in enumerate(rs.elements()):
         if not residual[idx]:
             continue
-        coeff = _make(rs.rank, residual[idx])  # at e (no factor) the input's unmutated terms
-        for f in _division_order(w):
-            coeff = divide_exact(coeff, f)
-        coeffs[w] = coeff
-        for sv, points in _support_by_value(w):
+        support = _support_by_value(w)  # checks S_w before its bottom value divides
+        coeff = coeffs[w] = _quotient(residual[idx], schubert_class(w).values[idx])
+        for sv, points in support:
             d = (coeff * sv)._t
             for j in points:
                 if residual[j] is shared[j]:
                     residual[j] = dict(shared[j])
                 _add_terms(residual[j], d, -1)
         if residual[idx]:
-            raise NonzeroResidualError(f"residual survives at {w!r}")
+            raise NotDivisibleError(f"the residual at {w!r} is not a multiple of its bottom restriction")
     return SchubertExpansion(rs, coeffs)
 
 
-@_per_group("division_order")
-def _division_order(w: WeylElement) -> list[tuple[int, ...]]:
-    """The bottom factors of ``w``, most nonzero coordinates first; memoized."""
-    return sorted(bottom_factors(w), key=lambda f: -sum(map(bool, f)))
+_DEG_MOD = (1 << _W) - 1  # 2**17 = 1 modulo this, so a key modulo it is its degree while that is smaller
+
+
+def _quotient(terms: dict[int, int], bottom: Polynomial) -> Polynomial:
+    """The quotient of the packed ``terms`` by a homogeneous ``bottom``, unchecked.
+
+    A triangular solve in packed-key order: with ``L`` the largest key of
+    ``bottom`` and ``c`` its coefficient, the quotient's coefficient at ``m`` is
+
+        (terms[m + L] - sum over found keys m' > m of q[m'] * bottom[m + L - m']) / c,
+
+    because keys add like monomials and compare as ints.  A key that borrows
+    has a guard bit set, so it is never a key of either side.  The candidate
+    keys lie under the per-variable box ``deg_{a_k}(terms) - deg_{a_k}(bottom)``:
+    its monomials of the quotient's degrees while they are no more than the
+    terms, else only the keys that the terms and the quotient found so far
+    reach.  A remainder in a coefficient, or a negative box, raises
+    :class:`NotDivisibleError`; any other failure to divide gives a wrong
+    quotient, which the caller's subtraction of ``quotient * bottom`` exposes.
+    """
+    rank, b = bottom.rank, bottom._t
+    lead = max(b)
+    c = b[lead]
+    box, hi, top = [], 0, 0  # the box as exponents and packed, and the most degree a term can have
+    for k in range(rank):
+        f = _FIELD << (_W * k)
+        t = max(map(f.__and__, terms))
+        x = t - max(map(f.__and__, b))
+        if x < 0:
+            raise NotDivisibleError(f"a{k + 1} has a smaller degree than in the divisor")
+        box.append(x >> (_W * k))
+        hi += x
+        top += t >> (_W * k)
+    degree = _DEG_MOD.__rmod__ if top < _DEG_MOD else _degree
+    q: dict[int, int] = {}
+    shift = degree(lead)
+    cands = _box_monomials(box, {d - shift for d in set(map(degree, terms))}, len(terms))
+    if cands is not None:
+        for m in cands:
+            _solve_at(m, lead, c, terms, b, q)
+        return _make(rank, q)
+    from heapq import heapify, heappop, heappush  # only sparse inputs get here; kept off start-up
+
+    guard = _guard(rank)
+    heap = [lead - r for r in terms if r >= lead and not ((hi + lead - r) | (r - lead)) & guard]
+    heapify(heap)
+    pending = set(heap)
+    while heap:  # the sparse walk, largest key first
+        m = -heappop(heap)
+        if _solve_at(m, lead, c, terms, b, q):
+            for e in b:
+                n = m + e - lead
+                if n >= 0 and not ((hi - n) | n) & guard and -n not in pending:
+                    pending.add(-n)
+                    heappush(heap, -n)
+    return _make(rank, q)
+
+
+def _solve_at(m: int, lead: int, c: int, terms: dict, b: dict, q: dict) -> bool:
+    """Solve for the quotient's coefficient at ``m`` from the larger keys in
+    ``q``, looping over the smaller of ``q`` and ``b``; stores a nonzero one."""
+    t = m + lead
+    acc = terms.get(t, 0)
+    if len(q) < len(b):
+        get = b.get
+        for n, x in q.items():
+            y = get(t - n)
+            if y:
+                acc -= x * y
+    else:
+        get = q.get
+        for e, y in b.items():  # e = lead reaches m itself, not yet in q
+            x = get(t - e)
+            if x:
+                acc -= x * y
+    if not acc:
+        return False
+    x, r = divmod(acc, c)
+    if r:
+        raise NotDivisibleError(f"coefficient {acc} is not a multiple of {c}")
+    q[m] = x
+    return True
+
+
+def _box_monomials(box: list[int], degrees: set[int], budget: int) -> list[int] | None:
+    """The packed monomials of the given degrees with exponents under ``box``,
+    largest first; None when there are more than ``budget``."""
+    level = [(0, d) for d in degrees]
+    room = sum(box)  # the most that the variables below the current one can take
+    for k in reversed(range(len(box))):
+        room -= box[k]
+        nxt = []
+        for key, left in level:
+            for x in range(min(box[k], left), max(left - room, 0) - 1, -1):
+                nxt.append((key | x << (_W * k), left - x))
+        if len(nxt) > budget:
+            return None
+        level = nxt
+    return sorted((key for key, _ in level), reverse=True)
 
 
 @_per_group("schubert_by_value")
 def _support_by_value(w: WeylElement) -> list[tuple[Polynomial, list[int]]]:
     """The support of ``S_w`` grouped by value; memoized once ``S_w`` is checked
-    to vanish below ``w``'s own index, the points elimination must not touch."""
+    to vanish below ``w``'s own index, the points elimination must not touch,
+    and to be the product of the bottom factors at ``w``, the divisor there."""
     idx = w.rs.element_index(w)
     values = schubert_class(w).values
     if any(values[:idx]):
         raise NonzeroResidualError(f"S_{w!r} is nonzero below its own index {idx}")
+    if values[idx] != reduce(Polynomial.times_linear, bottom_factors(w), Polynomial.one(w.rs.rank)):
+        raise NonzeroResidualError(f"S_{w!r} at {w!r} is not the bottom restriction")
     groups: dict[Polynomial, list[int]] = {}
     for j, sv in enumerate(values):
         if sv:

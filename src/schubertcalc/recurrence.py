@@ -213,8 +213,13 @@ def _trace(rs, w, v, u, drop, nodes, first_r=None):
 def replay_trace(node: TraceNode) -> bool:
     """Check each rule application of a derivation tree once, by node identity.
 
-    A degree-zero leaf must be a fast zero, a base leaf :func:`base_constant`,
-    a dc-trivial leaf zero, and an inner node the weighted sum of its children's values.
+    A degree-zero leaf must be a fast zero.  Every other node must be what
+    :func:`_rule` gives at its key, with either choice of dropping the
+    equivariant term: the same rule, its ``chosen_r`` an ascent of ``w`` in
+    ``1..rank`` (None at a base, which needs ``w = w0``), and the same
+    weighted sub-constants as its children.  A base leaf must have the value
+    :func:`base_constant`, a dc-trivial leaf zero, and an inner node the
+    weighted sum of its children's values.
     """
     rs = node.key.w.rs
     seen, todo = set(), [node]
@@ -228,6 +233,8 @@ def replay_trace(node: TraceNode) -> bool:
         if n.rule == "degree-zero":
             if not _fast_zero(w, v, u):
                 raise AssertionError(f"degree-zero leaf at {n.key} is not a fast zero")
+        elif not _follows_rule(rs, n):
+            raise AssertionError(f"the {n.rule} node at {n.key} is not the rule applied there")
         elif n.rule == "base":
             val = base_constant(v)
         elif n.rule != "dc-trivial":
@@ -237,6 +244,21 @@ def replay_trace(node: TraceNode) -> bool:
         if val != n.value:
             raise AssertionError(f"trace replay mismatch at {n.key}")
     return True
+
+
+def _follows_rule(rs, n: TraceNode) -> bool:
+    """Whether ``_rule`` at ``n``'s key, for its ``chosen_r``, names ``n``'s rule and
+    children; ``_rule`` gives the base, with no reflection, only at ``w = w0``."""
+    w, v, u = n.key
+    r = n.chosen_r
+    if _fast_zero(w, v, u) or r is not None and not (1 <= r <= rs.rank and w.right_ascent(r)):
+        return False
+    got = (n.rule, r, [(weight, child.key) for weight, child in n.children])
+    for drop in (True, False):
+        rule, chosen, subs = _rule(rs, w, v, u, drop, r)
+        if got == (rule, chosen, [(wt, (a, b, c)) for wt, a, b, c in subs]):  # a Polynomial equals an int
+            return True
+    return False
 
 
 def _key_str(key: ConstantKey, bar: int | None) -> str:

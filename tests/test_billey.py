@@ -170,6 +170,16 @@ def test_bottom_factors_match_the_matrix_definition():
             assert bottom_factors(w) == expect, (label, w)
 
 
+def test_bottom_factors_multiply_to_the_bottom_restriction():
+    for label in ("A3", "B3", "G2"):
+        rs = named(label)
+        for w in rs.elements():
+            got = Polynomial.one(rs.rank)
+            for f in bottom_factors(w):
+                got = got.times_linear(f)
+            assert got == bottom_restriction(w), (label, w)
+
+
 def test_shared_table_columns_match_independent_passes():
     """Every column of the shared table, against passes that do not read it.
 

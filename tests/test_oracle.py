@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -29,6 +30,7 @@ from schubertcalc import (
     verify_sweep,
 )
 from schubertcalc import oracle as oracle_mod
+from schubertcalc import gkm, polyring
 
 from conftest import perm
 
@@ -242,18 +244,96 @@ def test_expansion_matches_naive_elimination():
             assert (exp, len(exp.coeffs)) == (expect, steps), (label, w, v)
 
 
-def test_division_order_is_a_permutation_of_the_bottom_factors():
-    for label in ("A3", "B3", "G2"):
+def random_homogeneous(rng, rank, degree, nterms):
+    """A polynomial of ``nterms`` random monomials of ``degree``, coefficients in -5..5."""
+    terms = {}
+    for _ in range(nterms):
+        exp = [0] * rank
+        for _ in range(degree):
+            exp[rng.randrange(rank)] += 1
+        terms[tuple(exp)] = rng.choice([-5, -3, -2, -1, 1, 2, 4, 5])
+    return Polynomial(rank, terms)
+
+
+def test_quotient_recovers_every_multiple_of_a_bottom_restriction():
+    """Homogeneous quotients of degree 0-3, then their inhomogeneous sum."""
+    rng = random.Random(14)
+    for label in ("A3", "B3", "C3", "G2"):
         rs = named(label)
-        for w in rs.elements():
-            order = oracle_mod._division_order(w)
-            assert sorted(order) == sorted(bottom_factors(w))
-            got = Polynomial.one(rs.rank)
-            for f in order:
-                got = got.times_linear(f)
-            assert got == bottom_restriction(w), (label, w)
-            density = [sum(map(bool, f)) for f in order]
-            assert density == sorted(density, reverse=True)
+        for u in rs.elements():
+            bottom = bottom_restriction(u)
+            total = Polynomial.zero(rs.rank)
+            for degree in range(4):
+                q = random_homogeneous(rng, rs.rank, degree, rng.randint(1, 6))
+                assert oracle_mod._quotient((q * bottom)._t, bottom) == q, (label, u, degree)
+                total = total + q
+            assert oracle_mod._quotient((total * bottom)._t, bottom) == total, (label, u)
+
+
+def test_quotient_finds_terms_that_cancel_in_the_product():
+    """(a1^6 - a2^6) / (a1 - a2): a box of 6 candidates for 2 terms, so the
+    sparse walk runs, and only the top quotient term is reached from a term;
+    each of the others cancels in the product and is reached from the last."""
+    a1, a2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    expect = sum((a1 ** i * a2 ** (5 - i) for i in range(6)), Polynomial.zero(2))
+    assert oracle_mod._quotient((a1 ** 6 - a2 ** 6)._t, a1 - a2) == expect
+
+
+def test_quotient_raises_on_a_remainder_or_a_negative_box():
+    a1, a2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    bottom = a2 * (a1 + 2 * a2)  # leading coefficient 2
+    with pytest.raises(NotDivisibleError, match="not a multiple of 2"):
+        oracle_mod._quotient((a1 * a2 * a2 + a2 * a2 * a2)._t, bottom)  # 1/2 at the first key
+    with pytest.raises(NotDivisibleError, match="a2 has a smaller degree"):
+        oracle_mod._quotient((a1 * a1 * a1)._t, bottom)
+    # the one candidate, 1, solves to zero: a wrong quotient, which the subtraction exposes
+    assert oracle_mod._quotient((a1 * a1 + a2 * a2)._t, a1 * a2).is_zero()
+
+
+def test_an_indivisible_residual_raises_not_divisible():
+    """A residual that is not a multiple of ``S_u|_u`` survives the subtraction
+    at ``u``: the solve's own arithmetic may accept it, the check may not."""
+    for label in ("A3", "B3"):
+        rs = named(label)
+        for u in rs.elements():
+            if u.length < 2:
+                continue
+            values = list(schubert_class(u).values)
+            k = rs.element_index(u)
+            values[k] = values[k] + Polynomial.variable(rs.rank, 1) ** u.length
+            with pytest.raises(NotDivisibleError):
+                expand_in_schubert(GkmClass(rs, values))
+
+
+def test_sparse_high_degree_quotient_stays_sparse():
+    """Rank 8, degree 42, two terms: the box holds 1,339,044 candidate
+    monomials, so the solve must walk what the terms reach instead."""
+    rank = 8
+    q = Polynomial(rank, {(12, 12, 12, 0, 6, 0, 0, 0): 3, (0, 0, 0, 0, 6, 12, 12, 12): -5})
+    factors = [(1, 1, 0, 0, 0, 0, 0, 0), (0, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0, 2), (1,) * rank]
+    bottom = Polynomial.one(rank)
+    for f in factors:
+        bottom = bottom.times_linear(f)
+    product = q * bottom
+    t0 = time.perf_counter()
+    got = oracle_mod._quotient(product._t, bottom)
+    elapsed = time.perf_counter() - t0
+    expect = product
+    for f in factors:
+        expect = divide_exact(expect, f)
+    assert got == expect == q
+    assert elapsed < 1.0, f"{elapsed:.2f} s for a two-term quotient"
+
+
+def test_expansion_divides_once_per_step_with_no_table(monkeypatch):
+    def refuse(p, f):
+        raise AssertionError("expand_in_schubert called divide_exact")
+
+    for mod in (polyring, gkm):
+        monkeypatch.setattr(mod, "divide_exact", refuse)
+    rs = named("B2")
+    assert verify_sweep(rs).ok
+    assert "division_order" not in rs.caches and not hasattr(oracle_mod, "divide_exact")
 
 
 def expand_against_planted(w_digits, corrupt):

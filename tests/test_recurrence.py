@@ -319,6 +319,35 @@ def test_replay_rejects_a_forged_inner_value(s4):
         replay_trace(forged)
 
 
+def test_replay_rejects_a_child_the_rule_does_not_name(s4):
+    """A consistent value with a wrong derivation: the worked example's one
+    child replaced by the base node c_{w0,e}^{w0}, which also has value 1."""
+    node = trace_constant(perm(s4, "1234"), perm(s4, "2413"), perm(s4, "2413"), first_r=2)
+    w0 = s4.longest_element()
+    base = trace_constant(w0, s4.identity, w0)
+    assert base.rule == "base" and base.value == node.value == Polynomial.one(3)
+    forged = node._replace(children=[(Polynomial.one(3), base)])
+    with pytest.raises(AssertionError, match="not the rule applied there"):
+        replay_trace(forged)
+
+
+def test_replay_rejects_a_forged_reflection_or_base(s4):
+    node = trace_constant(perm(s4, "1234"), perm(s4, "2413"), perm(s4, "2413"), first_r=2)
+    inner = node.children[0][1]
+    dc_trivial = next(ch for _, ch in inner.children if ch.rule == "dc-trivial")
+    forgeries = [
+        node._replace(chosen_r=0),  # outside 1..rank
+        node._replace(chosen_r=4),
+        dc_trivial._replace(chosen_r=1),  # a descent of w, where the rule names nothing
+        TraceNode(node.key, "base", None, [], node.value),  # a base away from w0
+        TraceNode(inner.key, "recurrence", inner.chosen_r, inner.children[:-1], inner.value),
+    ]
+    assert not dc_trivial.key.w.right_ascent(1)
+    for forged in forgeries:
+        with pytest.raises(AssertionError, match="not the rule applied there"):
+            replay_trace(forged)
+
+
 def test_replay_checks_each_distinct_node_once(monkeypatch, s6):
     import schubertcalc.recurrence as rec
 
