@@ -18,8 +18,9 @@ subgroup of ``u``'s ascents, and ``S_w * S_v`` on those of their common
 ascents.  The class product forms each distinct pair of values once, and
 each step of the elimination forms ``coeff * s`` once per distinct value
 ``s`` of ``S_w`` (the support grouped by value is memoized beside the
-class), then subtracts it in place from the residual of every point of that
-group, a term dict of its own from the point's first update.
+class, with what the solve reads of ``S_w|_w``), then subtracts it in place
+from the residual of every point of that group, a term dict of its own from
+the point's first update.
 
 The expansion deliberately shares no code path with the recursive
 structure-constant engine beyond the primitive modules, so the two can
@@ -36,12 +37,14 @@ together with uniqueness of the removable letter in every reduced word.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right, insort
 from functools import reduce
+from operator import or_
 
-from .billey import bottom_factors, bottom_restriction, restrict, schubert_class
+from .billey import bottom_restriction, restrict, schubert_class
 from .errors import DimensionMismatchError, GroupTooLargeError, NonzeroResidualError, NotDivisibleError
 from .gkm import GkmClass, SchubertExpansion
-from .polyring import _FIELD, _W, Polynomial, _add_terms, _degree, _guard, _make, render
+from .polyring import _FIELD, _W, Polynomial, _add_terms, _guard, _make, render
 from .recurrence import _integer, structure_constant
 from .rootsys import (
     RootSystem, WeylElement, _per_group, _same_group, all_reduced_words, coeff_pairing, covers,
@@ -90,8 +93,8 @@ def expand_in_schubert(p: GkmClass) -> SchubertExpansion:
     for idx, w in enumerate(rs.elements()):
         if not residual[idx]:
             continue
-        support = _support_by_value(w)  # checks S_w before its bottom value divides
-        coeff = coeffs[w] = _quotient(residual[idx], schubert_class(w).values[idx])
+        divisor, support = _support_by_value(w)  # checks S_w before its bottom value divides
+        coeff = coeffs[w] = _quotient(residual[idx], divisor)
         for sv, points in support:
             d = (coeff * sv)._t
             for j in points:
@@ -103,61 +106,58 @@ def expand_in_schubert(p: GkmClass) -> SchubertExpansion:
     return SchubertExpansion(rs, coeffs)
 
 
-_DEG_MOD = (1 << _W) - 1  # 2**17 = 1 modulo this, so a key modulo it is its degree while that is smaller
+def _divisor(bottom: Polynomial) -> tuple[int, dict[int, int], int, int]:
+    """What :func:`_quotient` reads of ``bottom``: its rank, its packed terms,
+    its largest key and, packed, each variable's largest exponent in it."""
+    b = bottom._t
+    most = sum(max(map((_FIELD << (_W * k)).__and__, b)) for k in range(bottom.rank))
+    return bottom.rank, b, max(b), most
 
 
-def _quotient(terms: dict[int, int], bottom: Polynomial) -> Polynomial:
-    """The quotient of the packed ``terms`` by a homogeneous ``bottom``, unchecked.
+def _quotient(terms: dict[int, int], divisor: tuple[int, dict[int, int], int, int]) -> Polynomial:
+    """The quotient of the packed ``terms`` by a :func:`_divisor`, unchecked.
 
-    A triangular solve in packed-key order: with ``L`` the largest key of
-    ``bottom`` and ``c`` its coefficient, the quotient's coefficient at ``m`` is
+    A triangular solve in packed-key order: with ``L`` the largest key of the
+    divisor ``B`` and ``c`` its coefficient, the quotient's coefficient at ``m`` is
 
-        (terms[m + L] - sum over found keys m' > m of q[m'] * bottom[m + L - m']) / c,
+        (terms[m + L] - sum over found keys m' > m of q[m'] * B[m + L - m']) / c,
 
-    because keys add like monomials and compare as ints.  A key that borrows
-    has a guard bit set, so it is never a key of either side.  The candidate
-    keys lie under the per-variable box ``deg_{a_k}(terms) - deg_{a_k}(bottom)``:
-    its monomials of the quotient's degrees while they are no more than the
-    terms, else only the keys that the terms and the quotient found so far
-    reach.  A remainder in a coefficient, or a negative box, raises
-    :class:`NotDivisibleError`; any other failure to divide gives a wrong
-    quotient, which the caller's subtraction of ``quotient * bottom`` exposes.
+    because keys add like monomials and compare as ints.  The candidate keys
+    are walked largest first from a sorted list: ``r - L`` for each key ``r``
+    of the terms, and ``m - (L - e)`` for each key ``e`` of ``B`` once
+    ``q[m]`` is found, the only keys whose sum can be nonzero.  Each must lie
+    in the per-variable box from 0 to ``deg_{a_k}(terms) - deg_{a_k}(B)``
+    (the terms' degrees bounded above by the or of their keys); a key that
+    borrows has a guard bit set, so the box check also drops it.  A remainder
+    in a coefficient, or a negative box, raises :class:`NotDivisibleError`;
+    any other failure to divide gives a wrong quotient, which the caller's
+    subtraction of ``quotient * B`` exposes.
     """
-    rank, b = bottom.rank, bottom._t
-    lead = max(b)
+    rank, b, lead, most = divisor
     c = b[lead]
-    box, hi, top = [], 0, 0  # the box as exponents and packed, and the most degree a term can have
+    top = reduce(or_, terms)
+    hi = 0  # the box, packed
     for k in range(rank):
         f = _FIELD << (_W * k)
-        t = max(map(f.__and__, terms))
-        x = t - max(map(f.__and__, b))
+        x = (top & f) - (most & f)
         if x < 0:
             raise NotDivisibleError(f"a{k + 1} has a smaller degree than in the divisor")
-        box.append(x >> (_W * k))
         hi += x
-        top += t >> (_W * k)
-    degree = _DEG_MOD.__rmod__ if top < _DEG_MOD else _degree
-    q: dict[int, int] = {}
-    shift = degree(lead)
-    cands = _box_monomials(box, {d - shift for d in set(map(degree, terms))}, len(terms))
-    if cands is not None:
-        for m in cands:
-            _solve_at(m, lead, c, terms, b, q)
-        return _make(rank, q)
-    from heapq import heapify, heappop, heappush  # only sparse inputs get here; kept off start-up
-
     guard = _guard(rank)
-    heap = [lead - r for r in terms if r >= lead and not ((hi + lead - r) | (r - lead)) & guard]
-    heapify(heap)
-    pending = set(heap)
-    while heap:  # the sparse walk, largest key first
-        m = -heappop(heap)
+    # the steps L - e that can join two keys of the box, sorted: from a key m
+    # only those up to m can land in it, as m - (L - e) >= 0
+    steps = sorted(lead - e for e in b if e != lead and not ((hi + lead - e) | (hi + e - lead)) & guard)
+    cands = sorted(r - lead for r in terms if not ((hi + lead - r) | (r - lead)) & guard)
+    pending = set(cands)
+    q: dict[int, int] = {}
+    while cands:
+        m = cands.pop()  # the largest left
         if _solve_at(m, lead, c, terms, b, q):
-            for e in b:
-                n = m + e - lead
-                if n >= 0 and not ((hi - n) | n) & guard and -n not in pending:
-                    pending.add(-n)
-                    heappush(heap, -n)
+            for d in steps[:bisect_right(steps, m)]:
+                n = m - d
+                if n not in pending and not ((hi - n) | n) & guard:
+                    pending.add(n)
+                    insort(cands, n)
     return _make(rank, q)
 
 
@@ -187,39 +187,23 @@ def _solve_at(m: int, lead: int, c: int, terms: dict, b: dict, q: dict) -> bool:
     return True
 
 
-def _box_monomials(box: list[int], degrees: set[int], budget: int) -> list[int] | None:
-    """The packed monomials of the given degrees with exponents under ``box``,
-    largest first; None when there are more than ``budget``."""
-    level = [(0, d) for d in degrees]
-    room = sum(box)  # the most that the variables below the current one can take
-    for k in reversed(range(len(box))):
-        room -= box[k]
-        nxt = []
-        for key, left in level:
-            for x in range(min(box[k], left), max(left - room, 0) - 1, -1):
-                nxt.append((key | x << (_W * k), left - x))
-        if len(nxt) > budget:
-            return None
-        level = nxt
-    return sorted((key for key, _ in level), reverse=True)
-
-
 @_per_group("schubert_by_value")
-def _support_by_value(w: WeylElement) -> list[tuple[Polynomial, list[int]]]:
-    """The support of ``S_w`` grouped by value; memoized once ``S_w`` is checked
-    to vanish below ``w``'s own index, the points elimination must not touch,
-    and to be the product of the bottom factors at ``w``, the divisor there."""
+def _support_by_value(w: WeylElement) -> tuple[tuple, list[tuple[Polynomial, list[int]]]]:
+    """The :func:`_divisor` of ``S_w|_w`` and the support of ``S_w`` grouped by
+    value; memoized once ``S_w`` is checked to vanish below ``w``'s own index,
+    the points elimination must not touch, and to be the product of the bottom
+    factors at ``w``, the divisor there."""
     idx = w.rs.element_index(w)
     values = schubert_class(w).values
     if any(values[:idx]):
         raise NonzeroResidualError(f"S_{w!r} is nonzero below its own index {idx}")
-    if values[idx] != reduce(Polynomial.times_linear, bottom_factors(w), Polynomial.one(w.rs.rank)):
+    if values[idx] != bottom_restriction.__wrapped__(w):  # computed afresh, not read from its table
         raise NonzeroResidualError(f"S_{w!r} at {w!r} is not the bottom restriction")
     groups: dict[Polynomial, list[int]] = {}
     for j, sv in enumerate(values):
         if sv:
             groups.setdefault(sv, []).append(j)
-    return list(groups.items())
+    return _divisor(values[idx]), list(groups.items())
 
 
 def oracle_product(w: WeylElement, v: WeylElement) -> SchubertExpansion:

@@ -255,6 +255,10 @@ def random_homogeneous(rng, rank, degree, nterms):
     return Polynomial(rank, terms)
 
 
+def quotient(p, bottom):
+    return oracle_mod._quotient(p._t, oracle_mod._divisor(bottom))
+
+
 def test_quotient_recovers_every_multiple_of_a_bottom_restriction():
     """Homogeneous quotients of degree 0-3, then their inhomogeneous sum."""
     rng = random.Random(14)
@@ -265,29 +269,32 @@ def test_quotient_recovers_every_multiple_of_a_bottom_restriction():
             total = Polynomial.zero(rs.rank)
             for degree in range(4):
                 q = random_homogeneous(rng, rs.rank, degree, rng.randint(1, 6))
-                assert oracle_mod._quotient((q * bottom)._t, bottom) == q, (label, u, degree)
+                assert quotient(q * bottom, bottom) == q, (label, u, degree)
                 total = total + q
-            assert oracle_mod._quotient((total * bottom)._t, bottom) == total, (label, u)
+            assert quotient(total * bottom, bottom) == total, (label, u)
 
 
 def test_quotient_finds_terms_that_cancel_in_the_product():
-    """(a1^6 - a2^6) / (a1 - a2): a box of 6 candidates for 2 terms, so the
-    sparse walk runs, and only the top quotient term is reached from a term;
-    each of the others cancels in the product and is reached from the last."""
+    """(a1^6 - a2^6) / (a1 - a2): only the top quotient term is reached from a
+    term; each of the others cancels in the product and is reached from the last.
+    In (a1^3 + 1) / (a1 + 1) the constant is reached from a1 by the whole lead."""
     a1, a2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
     expect = sum((a1 ** i * a2 ** (5 - i) for i in range(6)), Polynomial.zero(2))
-    assert oracle_mod._quotient((a1 ** 6 - a2 ** 6)._t, a1 - a2) == expect
+    assert quotient(a1 ** 6 - a2 ** 6, a1 - a2) == expect
+    x = Polynomial.variable(1, 1)
+    assert quotient(x ** 3 + 1, x + 1) == x * x - x + 1
 
 
 def test_quotient_raises_on_a_remainder_or_a_negative_box():
     a1, a2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
     bottom = a2 * (a1 + 2 * a2)  # leading coefficient 2
     with pytest.raises(NotDivisibleError, match="not a multiple of 2"):
-        oracle_mod._quotient((a1 * a2 * a2 + a2 * a2 * a2)._t, bottom)  # 1/2 at the first key
+        quotient(a1 * a2 * a2 + a2 * a2 * a2, bottom)  # 1/2 at the first key
     with pytest.raises(NotDivisibleError, match="a2 has a smaller degree"):
-        oracle_mod._quotient((a1 * a1 * a1)._t, bottom)
-    # the one candidate, 1, solves to zero: a wrong quotient, which the subtraction exposes
-    assert oracle_mod._quotient((a1 * a1 + a2 * a2)._t, a1 * a2).is_zero()
+        quotient(a1 * a1 * a1, bottom)
+    # no key of the terms is a multiple of the lead a1*a2: no candidate, and a zero
+    # quotient, which the subtraction exposes
+    assert quotient(a1 * a1 + a2 * a2, a1 * a2).is_zero()
 
 
 def test_an_indivisible_residual_raises_not_divisible():
@@ -306,8 +313,9 @@ def test_an_indivisible_residual_raises_not_divisible():
 
 
 def test_sparse_high_degree_quotient_stays_sparse():
-    """Rank 8, degree 42, two terms: the box holds 1,339,044 candidate
-    monomials, so the solve must walk what the terms reach instead."""
+    """Rank 8, degree 42, two terms: the per-variable degree box holds 1,339,044
+    monomials of the quotient's degree, so the solve must walk only what the
+    terms reach."""
     rank = 8
     q = Polynomial(rank, {(12, 12, 12, 0, 6, 0, 0, 0): 3, (0, 0, 0, 0, 6, 12, 12, 12): -5})
     factors = [(1, 1, 0, 0, 0, 0, 0, 0), (0, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0, 2), (1,) * rank]
@@ -316,7 +324,7 @@ def test_sparse_high_degree_quotient_stays_sparse():
         bottom = bottom.times_linear(f)
     product = q * bottom
     t0 = time.perf_counter()
-    got = oracle_mod._quotient(product._t, bottom)
+    got = quotient(product, bottom)
     elapsed = time.perf_counter() - t0
     expect = product
     for f in factors:
