@@ -43,7 +43,11 @@ class NotDivisibleError(SchubertError):
 
 
 class NonzeroResidualError(SchubertError):
-    """Schubert-basis elimination finished with a nonzero residual."""
+    """A memoized Schubert class is corrupt.
+
+    Schubert-basis elimination raises it when ``S_w`` is nonzero below
+    ``w``'s own index or its value at ``w`` is not the bottom restriction.
+    """
 
 
 class EngineMismatchError(SchubertError):

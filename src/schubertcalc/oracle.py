@@ -4,13 +4,13 @@ Any GKM class expands uniquely in the Schubert classes over the base
 ring, because restriction is upper triangular with respect to Bruhat
 order: ``S_w`` is supported on ``{v >= w}`` and its bottom value is the
 product of the bottom factors.  Walking the group in increasing length,
-the coefficient on ``S_w`` is the residual value at ``w`` divided by
-``S_w|_w`` in one triangular solve over packed keys; subtracting
-``coeff * S_w`` then clears the point, which checks the quotient, and never
-touches earlier ones (a check per memoized class guards this triangularity
-and that ``S_w|_w`` is the product of the bottom factors).  A residual that
-survives means the input is not a class (``NotDivisibleError``); a memoized
-class that fails its check is corrupt (``NonzeroResidualError``).
+the coefficient on ``S_w`` is the residual value at ``w`` divided exactly by
+``S_w|_w`` with polyring's ``divide_exact``, which checks its quotient, and
+subtracting ``coeff * S_w`` never touches earlier points (a check per
+memoized class guards this triangularity and that ``S_w|_w`` is the product
+of the bottom factors).  A residual that does not divide means the input is
+not a class (``NotDivisibleError``); a memoized class that fails its check
+is corrupt (``NonzeroResidualError``).
 
 Values repeat: by the right action ``S_u . r_i = S_u`` for every ascent
 ``u r_i > u``, so ``S_u`` is constant on right cosets of the parabolic
@@ -18,9 +18,10 @@ subgroup of ``u``'s ascents, and ``S_w * S_v`` on those of their common
 ascents.  The class product forms each distinct pair of values once, and
 each step of the elimination forms ``coeff * s`` once per distinct value
 ``s`` of ``S_w`` (the support grouped by value is memoized beside the
-class, with what the solve reads of ``S_w|_w``), then subtracts it in place
-from the residual of every point of that group, a term dict of its own from
-the point's first update.
+class), then subtracts it in place from the residual of every point of that
+group, a term dict of its own from the point's first update.  For ``w``'s
+own group, whose value is the divisor, the product is the residual at ``w``
+itself, which the division has just proved, so that group forms none.
 
 The expansion deliberately shares no code path with the recursive
 structure-constant engine beyond the primitive modules, so the two can
@@ -37,14 +38,11 @@ together with uniqueness of the removable letter in every reduced word.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right, insort
-from functools import reduce
-from operator import or_
 
 from .billey import bottom_restriction, restrict, schubert_class
-from .errors import DimensionMismatchError, GroupTooLargeError, NonzeroResidualError, NotDivisibleError
+from .errors import DimensionMismatchError, GroupTooLargeError, NonzeroResidualError
 from .gkm import GkmClass, SchubertExpansion
-from .polyring import _FIELD, _W, Polynomial, _add_terms, _guard, _make, render
+from .polyring import Polynomial, _add_terms, _make, divide_exact, render
 from .recurrence import _integer, structure_constant
 from .rootsys import (
     RootSystem, WeylElement, _per_group, _same_group, all_reduced_words, coeff_pairing, covers,
@@ -78,9 +76,10 @@ def expand_in_schubert(p: GkmClass) -> SchubertExpansion:
     """Expand a class in the Schubert basis by triangular elimination.
 
     At each point ``u`` of the support, in increasing length, the coefficient
-    is one quotient of the residual by ``S_u|_u`` (see :func:`_quotient`),
-    left unchecked: the subtraction of ``coeff * S_u`` that follows must clear
-    the residual at ``u``, and that is the check.
+    is the residual at ``u`` divided exactly by ``S_u|_u`` (``divide_exact``,
+    which checks its quotient).  Then ``coeff * S_u|_u`` is that residual: it
+    is cleared at ``u`` and subtracted as it stands at the other points of
+    ``u``'s value group, and every other group gets ``coeff * s`` for its value.
 
     Raises :class:`NotDivisibleError` when the input is not a class (a
     residual is not a multiple of ``S_u|_u``) and :class:`NonzeroResidualError`
@@ -89,110 +88,33 @@ def expand_in_schubert(p: GkmClass) -> SchubertExpansion:
     rs = p.rs
     shared = [val._t for val in p.values]
     residual = list(shared)  # packed terms, copied at a point's first update
+
+    def subtract(terms: dict[int, int], points) -> None:
+        for j in points:
+            if residual[j] is shared[j]:
+                residual[j] = dict(shared[j])
+            _add_terms(residual[j], terms, -1)
+
     coeffs: dict[WeylElement, Polynomial] = {}
     for idx, w in enumerate(rs.elements()):
-        if not residual[idx]:
+        terms = residual[idx]
+        if not terms:
             continue
-        divisor, support = _support_by_value(w)  # checks S_w before its bottom value divides
-        coeff = coeffs[w] = _quotient(residual[idx], divisor)
-        for sv, points in support:
-            d = (coeff * sv)._t
-            for j in points:
-                if residual[j] is shared[j]:
-                    residual[j] = dict(shared[j])
-                _add_terms(residual[j], d, -1)
-        if residual[idx]:
-            raise NotDivisibleError(f"the residual at {w!r} is not a multiple of its bottom restriction")
+        (bottom, own), *others = _support_by_value(w)  # checks S_w before its bottom value divides
+        coeff = coeffs[w] = divide_exact(_make(rs.rank, terms), bottom)
+        residual[idx] = {}
+        subtract(terms, own[1:])
+        for sv, points in others:
+            subtract((coeff * sv)._t, points)
     return SchubertExpansion(rs, coeffs)
 
 
-def _divisor(bottom: Polynomial) -> tuple[int, dict[int, int], int, int]:
-    """What :func:`_quotient` reads of ``bottom``: its rank, its packed terms,
-    its largest key and, packed, each variable's largest exponent in it."""
-    b = bottom._t
-    most = sum(max(map((_FIELD << (_W * k)).__and__, b)) for k in range(bottom.rank))
-    return bottom.rank, b, max(b), most
-
-
-def _quotient(terms: dict[int, int], divisor: tuple[int, dict[int, int], int, int]) -> Polynomial:
-    """The quotient of the packed ``terms`` by a :func:`_divisor`, unchecked.
-
-    A triangular solve in packed-key order: with ``L`` the largest key of the
-    divisor ``B`` and ``c`` its coefficient, the quotient's coefficient at ``m`` is
-
-        (terms[m + L] - sum over found keys m' > m of q[m'] * B[m + L - m']) / c,
-
-    because keys add like monomials and compare as ints.  The candidate keys
-    are walked largest first from a sorted list: ``r - L`` for each key ``r``
-    of the terms, and ``m - (L - e)`` for each key ``e`` of ``B`` once
-    ``q[m]`` is found, the only keys whose sum can be nonzero.  Each must lie
-    in the per-variable box from 0 to ``deg_{a_k}(terms) - deg_{a_k}(B)``
-    (the terms' degrees bounded above by the or of their keys); a key that
-    borrows has a guard bit set, so the box check also drops it.  A remainder
-    in a coefficient, or a negative box, raises :class:`NotDivisibleError`;
-    any other failure to divide gives a wrong quotient, which the caller's
-    subtraction of ``quotient * B`` exposes.
-    """
-    rank, b, lead, most = divisor
-    c = b[lead]
-    top = reduce(or_, terms)
-    hi = 0  # the box, packed
-    for k in range(rank):
-        f = _FIELD << (_W * k)
-        x = (top & f) - (most & f)
-        if x < 0:
-            raise NotDivisibleError(f"a{k + 1} has a smaller degree than in the divisor")
-        hi += x
-    guard = _guard(rank)
-    # the steps L - e that can join two keys of the box, sorted: from a key m
-    # only those up to m can land in it, as m - (L - e) >= 0
-    steps = sorted(lead - e for e in b if e != lead and not ((hi + lead - e) | (hi + e - lead)) & guard)
-    cands = sorted(r - lead for r in terms if not ((hi + lead - r) | (r - lead)) & guard)
-    pending = set(cands)
-    q: dict[int, int] = {}
-    while cands:
-        m = cands.pop()  # the largest left
-        if _solve_at(m, lead, c, terms, b, q):
-            for d in steps[:bisect_right(steps, m)]:
-                n = m - d
-                if n not in pending and not ((hi - n) | n) & guard:
-                    pending.add(n)
-                    insort(cands, n)
-    return _make(rank, q)
-
-
-def _solve_at(m: int, lead: int, c: int, terms: dict, b: dict, q: dict) -> bool:
-    """Solve for the quotient's coefficient at ``m`` from the larger keys in
-    ``q``, looping over the smaller of ``q`` and ``b``; stores a nonzero one."""
-    t = m + lead
-    acc = terms.get(t, 0)
-    if len(q) < len(b):
-        get = b.get
-        for n, x in q.items():
-            y = get(t - n)
-            if y:
-                acc -= x * y
-    else:
-        get = q.get
-        for e, y in b.items():  # e = lead reaches m itself, not yet in q
-            x = get(t - e)
-            if x:
-                acc -= x * y
-    if not acc:
-        return False
-    x, r = divmod(acc, c)
-    if r:
-        raise NotDivisibleError(f"coefficient {acc} is not a multiple of {c}")
-    q[m] = x
-    return True
-
-
 @_per_group("schubert_by_value")
-def _support_by_value(w: WeylElement) -> tuple[tuple, list[tuple[Polynomial, list[int]]]]:
-    """The :func:`_divisor` of ``S_w|_w`` and the support of ``S_w`` grouped by
-    value; memoized once ``S_w`` is checked to vanish below ``w``'s own index,
-    the points elimination must not touch, and to be the product of the bottom
-    factors at ``w``, the divisor there."""
+def _support_by_value(w: WeylElement) -> list[tuple[Polynomial, list[int]]]:
+    """The support of ``S_w`` grouped by value, ``w``'s own group first with
+    ``w`` its first point; memoized once ``S_w`` is checked to vanish below
+    ``w``'s own index, the points elimination must not touch, and to be the
+    product of the bottom factors at ``w``, the divisor there."""
     idx = w.rs.element_index(w)
     values = schubert_class(w).values
     if any(values[:idx]):
@@ -203,7 +125,7 @@ def _support_by_value(w: WeylElement) -> tuple[tuple, list[tuple[Polynomial, lis
     for j, sv in enumerate(values):
         if sv:
             groups.setdefault(sv, []).append(j)
-    return _divisor(values[idx]), list(groups.items())
+    return list(groups.items())
 
 
 def oracle_product(w: WeylElement, v: WeylElement) -> SchubertExpansion:

@@ -19,7 +19,11 @@ reversed exponent tuples, so the display order is (degree, key).
 
 The one product loop is ``p.addmul(a, b) == p + a * b``, accumulated into
 a copy of ``p``'s terms (Monagan and Pearce, CASC 2007); ``*`` and
-``times_linear`` call it with a zero ``p``.
+``times_linear`` call it with a zero ``p``.  The one exact division is
+``divide_exact(p, d)``, long division in packed-key order by a polynomial
+or a linear form, checked by construction: it serves both the divided
+differences (by a root) and the Schubert-basis elimination (by a bottom
+restriction, a product of roots).
 
 ``Polynomial.terms`` is a read-only mapping from exponent tuples to
 coefficients, unpacked on read, and ``Polynomial(rank, {tuple: int})``
@@ -35,6 +39,7 @@ Polynomials are immutable values and every operation is pure.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Mapping
 from functools import cache, reduce
 from operator import or_
@@ -118,13 +123,6 @@ def _add_terms(out: dict[int, int], terms: dict[int, int], sign: int = 1) -> dic
     return out
 
 
-def _linear_units(coords, rank: int) -> list[tuple[int, int]]:
-    """A linear form as (packed variable, coefficient) pairs, zeros left out."""
-    if len(coords) != rank:
-        raise ValueError("linear form rank mismatch")
-    return [(1 << (_W * k), int(f)) for k, f in enumerate(coords) if f]
-
-
 class _Terms(Mapping):
     """Read-only view of a polynomial's terms, keyed by exponent tuples."""
 
@@ -190,7 +188,7 @@ class Polynomial:
 
     @classmethod
     def linear(cls, coords: Sequence[int]) -> "Polynomial":
-        return _make(len(coords), dict(_linear_units(coords, len(coords))))
+        return _make(len(coords), {1 << (_W * k): int(f) for k, f in enumerate(coords) if f})
 
     # -- basic protocol --------------------------------------------------
 
@@ -334,56 +332,65 @@ def act(w, p: Polynomial) -> Polynomial:
     return _substitute(p, list(zip(*mat)), p.rank)
 
 
-# -- exact division by a linear form -----------------------------------------
+# -- exact division ------------------------------------------------------------
 
 
-def divide_exact(p: Polynomial, f: Sequence[int]) -> Polynomial:
-    """Return q with ``q * f == p`` for a nonzero linear form ``f``.
+def divide_exact(p: Polynomial, d: Polynomial | Sequence[int]) -> Polynomial:
+    """Return q with ``q * d == p`` for a nonzero divisor ``d``.
 
-    Raises :class:`NotDivisibleError` when no such integer polynomial
+    ``d`` is a polynomial of ``p``'s rank or the coordinates of a linear
+    form.  Raises :class:`NotDivisibleError` when no such integer polynomial
     exists; in class arithmetic that signals a violated GKM condition
     upstream and must abort the computation.
 
-    With ``a_k`` the first variable of ``f``, the terms are grouped into
-    layers by their exponent of ``a_k`` and the layers are cleared in one
-    descending pass: each term of layer ``d`` gives a quotient term, and
-    subtracting that term times ``f`` changes only layer ``d - 1``.
+    Long division in packed-key order (Monagan and Pearce, CASC 2007), which
+    is a monomial order: the remainder starts as a copy of ``p``'s terms and
+    its largest key ``t`` is popped off a sorted list, over and over.  With
+    ``L`` the largest key of ``d``, ``t - L`` must not borrow (no guard bit
+    set, not negative) and the coefficient must be a multiple of ``d``'s at
+    ``L``; that gives a quotient term, and subtracting it times ``d`` touches
+    only keys below ``t``.  ``p`` divides exactly when the remainder empties,
+    so the quotient returned is checked by construction.
     """
-    units = _linear_units(f, p.rank)
-    if not units:
-        raise ZeroDivisionError("division by the zero linear form")
-    (uk, fk), others = units[0], units[1:]
-    shift = uk.bit_length() - 1
-    layers: dict[int, dict[int, int]] = {}
-    for e, c in p._t.items():
-        layers.setdefault((e >> shift) & _FIELD, {})[e] = c
+    if not isinstance(d, Polynomial):
+        d = Polynomial.linear(d)
+    if d.rank != p.rank:
+        raise ValueError("polynomial rank mismatch")
+    if not d._t:
+        raise ZeroDivisionError("division by the zero polynomial")
+    lead = max(d._t)
+    c = d._t[lead]
+    rest = [(e - lead, y) for e, y in d._t.items() if e != lead]  # key offsets from the lead
+    guard = _guard(p.rank)
+    remainder = dict(p._t)
+    keys = sorted(remainder)  # every key of the remainder, once
     quotient: dict[int, int] = {}
-    for d in range(max(layers, default=0), 0, -1):
-        below = layers.setdefault(d - 1, {})
-        get = below.get
-        for e, c in layers.pop(d, {}).items():
-            q, r = divmod(c, fk)
-            if r:
-                raise NotDivisibleError("coefficient not divisible in exact division")
-            eq = e - uk
-            quotient[eq] = q
-            # subtract q * x^eq * f; its a_k term cancels this term
-            for u, fc in others:
-                e2 = eq + u
-                s = get(e2, 0) - q * fc
-                if s:
-                    below[e2] = s
-                else:
-                    del below[e2]
-    if layers.get(0):
-        raise NotDivisibleError("nonzero remainder in exact division")
-    return _checked(p.rank, quotient)
+    while keys:
+        t = keys.pop()
+        x = remainder.pop(t)
+        if not x:
+            continue
+        m = t - lead
+        if m < 0 or m & guard:  # t - L borrowed
+            raise NotDivisibleError("a term is not a multiple of the divisor's leading monomial")
+        x, r = divmod(x, c)
+        if r:
+            raise NotDivisibleError(f"a coefficient is not a multiple of {c}")
+        quotient[m] = x
+        for off, y in rest:
+            e = t + off
+            if e in remainder:
+                remainder[e] -= x * y
+            else:
+                remainder[e] = -x * y
+                insort(keys, e)
+    return _make(p.rank, quotient)
 
 
-def is_divisible(p: Polynomial, f: Sequence[int]) -> bool:
+def is_divisible(p: Polynomial, d: Polynomial | Sequence[int]) -> bool:
     """True iff :func:`divide_exact` would succeed; never raises."""
     try:
-        divide_exact(p, f)
+        divide_exact(p, d)
         return True
     except NotDivisibleError:
         return False

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import time
 
 import pytest
 
@@ -30,7 +29,6 @@ from schubertcalc import (
     verify_sweep,
 )
 from schubertcalc import oracle as oracle_mod
-from schubertcalc import gkm, polyring
 
 from conftest import perm
 
@@ -244,62 +242,8 @@ def test_expansion_matches_naive_elimination():
             assert (exp, len(exp.coeffs)) == (expect, steps), (label, w, v)
 
 
-def random_homogeneous(rng, rank, degree, nterms):
-    """A polynomial of ``nterms`` random monomials of ``degree``, coefficients in -5..5."""
-    terms = {}
-    for _ in range(nterms):
-        exp = [0] * rank
-        for _ in range(degree):
-            exp[rng.randrange(rank)] += 1
-        terms[tuple(exp)] = rng.choice([-5, -3, -2, -1, 1, 2, 4, 5])
-    return Polynomial(rank, terms)
-
-
-def quotient(p, bottom):
-    return oracle_mod._quotient(p._t, oracle_mod._divisor(bottom))
-
-
-def test_quotient_recovers_every_multiple_of_a_bottom_restriction():
-    """Homogeneous quotients of degree 0-3, then their inhomogeneous sum."""
-    rng = random.Random(14)
-    for label in ("A3", "B3", "C3", "G2"):
-        rs = named(label)
-        for u in rs.elements():
-            bottom = bottom_restriction(u)
-            total = Polynomial.zero(rs.rank)
-            for degree in range(4):
-                q = random_homogeneous(rng, rs.rank, degree, rng.randint(1, 6))
-                assert quotient(q * bottom, bottom) == q, (label, u, degree)
-                total = total + q
-            assert quotient(total * bottom, bottom) == total, (label, u)
-
-
-def test_quotient_finds_terms_that_cancel_in_the_product():
-    """(a1^6 - a2^6) / (a1 - a2): only the top quotient term is reached from a
-    term; each of the others cancels in the product and is reached from the last.
-    In (a1^3 + 1) / (a1 + 1) the constant is reached from a1 by the whole lead."""
-    a1, a2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
-    expect = sum((a1 ** i * a2 ** (5 - i) for i in range(6)), Polynomial.zero(2))
-    assert quotient(a1 ** 6 - a2 ** 6, a1 - a2) == expect
-    x = Polynomial.variable(1, 1)
-    assert quotient(x ** 3 + 1, x + 1) == x * x - x + 1
-
-
-def test_quotient_raises_on_a_remainder_or_a_negative_box():
-    a1, a2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
-    bottom = a2 * (a1 + 2 * a2)  # leading coefficient 2
-    with pytest.raises(NotDivisibleError, match="not a multiple of 2"):
-        quotient(a1 * a2 * a2 + a2 * a2 * a2, bottom)  # 1/2 at the first key
-    with pytest.raises(NotDivisibleError, match="a2 has a smaller degree"):
-        quotient(a1 * a1 * a1, bottom)
-    # no key of the terms is a multiple of the lead a1*a2: no candidate, and a zero
-    # quotient, which the subtraction exposes
-    assert quotient(a1 * a1 + a2 * a2, a1 * a2).is_zero()
-
-
 def test_an_indivisible_residual_raises_not_divisible():
-    """A residual that is not a multiple of ``S_u|_u`` survives the subtraction
-    at ``u``: the solve's own arithmetic may accept it, the check may not."""
+    """A residual that is not a multiple of ``S_u|_u`` fails the exact division at ``u``."""
     for label in ("A3", "B3"):
         rs = named(label)
         for u in rs.elements():
@@ -312,36 +256,24 @@ def test_an_indivisible_residual_raises_not_divisible():
                 expand_in_schubert(GkmClass(rs, values))
 
 
-def test_sparse_high_degree_quotient_stays_sparse():
-    """Rank 8, degree 42, two terms: the per-variable degree box holds 1,339,044
-    monomials of the quotient's degree, so the solve must walk only what the
-    terms reach."""
-    rank = 8
-    q = Polynomial(rank, {(12, 12, 12, 0, 6, 0, 0, 0): 3, (0, 0, 0, 0, 6, 12, 12, 12): -5})
-    factors = [(1, 1, 0, 0, 0, 0, 0, 0), (0, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0, 2), (1,) * rank]
-    bottom = Polynomial.one(rank)
-    for f in factors:
-        bottom = bottom.times_linear(f)
-    product = q * bottom
-    t0 = time.perf_counter()
-    got = quotient(product, bottom)
-    elapsed = time.perf_counter() - t0
-    expect = product
-    for f in factors:
-        expect = divide_exact(expect, f)
-    assert got == expect == q
-    assert elapsed < 1.0, f"{elapsed:.2f} s for a two-term quotient"
-
-
 def test_expansion_divides_once_per_step_with_no_table(monkeypatch):
-    def refuse(p, f):
-        raise AssertionError("expand_in_schubert called divide_exact")
+    """One checked division per coefficient, by the bottom restriction itself."""
+    calls = []
 
-    for mod in (polyring, gkm):
-        monkeypatch.setattr(mod, "divide_exact", refuse)
+    def spy(p, d):
+        q = divide_exact(p, d)
+        calls.append((d, q))
+        return q
+
+    monkeypatch.setattr(oracle_mod, "divide_exact", spy)
     rs = named("B2")
-    assert verify_sweep(rs).ok
-    assert "division_order" not in rs.caches and not hasattr(oracle_mod, "divide_exact")
+    for w, v in itertools.product(rs.elements(), repeat=2):
+        calls.clear()
+        expansion = expand_in_schubert(schubert_class(w) * schubert_class(v))
+        assert len(calls) == len(expansion.coeffs), (w, v)
+        for (d, q), (u, coeff) in zip(calls, expansion.items()):
+            assert isinstance(d, Polynomial) and d == bottom_restriction(u) and q == coeff
+    assert "division_order" not in rs.caches
 
 
 def expand_against_planted(w_digits, corrupt):

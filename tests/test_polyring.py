@@ -1,7 +1,9 @@
 """Sparse integer polynomials: arithmetic, action, division, text forms.
 
 sympy serves as the independent oracle for the ring operations, exact
-division and the Weyl action (Hypothesis inputs in ranks 1-8); the action
+division (by linear forms and by seeded non-linear divisors) and the Weyl
+action (Hypothesis inputs in ranks 1-8); division is also checked on
+multiples of every bottom restriction of A3, B3, C3 and G2; the action
 is also checked against the group axioms on random inputs in A3 and B2,
 and sympy reads the rendered text forms back in both bases.  The packed storage is checked for its tuple-keyed ``terms`` view and for
 exponents that leave their field.
@@ -10,6 +12,7 @@ exponents that leave their field.
 import json
 import random
 import re
+import time
 
 import pytest
 import sympy
@@ -19,6 +22,7 @@ from schubertcalc import (
     NotDivisibleError,
     Polynomial,
     act,
+    bottom_restriction,
     divide_exact,
     is_divisible,
     named,
@@ -144,6 +148,132 @@ def test_divide_exact_failures():
     assert is_divisible(a1 * a2, (0, 1))
     with pytest.raises(ZeroDivisionError):
         divide_exact(a1, (0, 0))
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(a1, Polynomial.zero(2))
+    with pytest.raises(ValueError):
+        divide_exact(a1, Polynomial.variable(3, 1))
+    with pytest.raises(ValueError):
+        divide_exact(a1, (1, 0, 0))
+
+
+def test_divide_exact_by_polynomials_matches_sympy():
+    """Non-linear divisors: ``q * d`` divides back to ``q``, and any ``p`` raises
+    exactly when sympy's division over the integers leaves a remainder."""
+    rng = random.Random(31)
+    raised = 0
+    for _ in range(80):
+        rank = rng.randint(1, 4)
+        d = random_poly(rng, rank)
+        if not d:
+            continue
+        q = random_poly(rng, rank)
+        assert divide_exact(q * d, d) == q
+        for p in (q * d, q * d + random_poly(rng, rank), random_poly(rng, rank) * d.scale(2)):
+            for divisor in (d, d.scale(2)):
+                _, r = sympy.div(sym(p), sym(divisor), *sym_vars(rank), domain="ZZ")
+                try:
+                    got = divide_exact(p, divisor)
+                except NotDivisibleError:
+                    raised += 1
+                    assert r != 0, (p, divisor)
+                else:
+                    assert r == 0 and got * divisor == p, (p, divisor)
+    assert raised
+
+
+def random_homogeneous(rng, rank, degree, nterms):
+    """A polynomial of ``nterms`` random monomials of ``degree``, coefficients in -5..5."""
+    terms = {}
+    for _ in range(nterms):
+        exp = [0] * rank
+        for _ in range(degree):
+            exp[rng.randrange(rank)] += 1
+        terms[tuple(exp)] = rng.choice([-5, -3, -2, -1, 1, 2, 4, 5])
+    return Polynomial(rank, terms)
+
+
+def test_quotient_recovers_every_multiple_of_a_bottom_restriction():
+    """Homogeneous quotients of degree 0-3, then their inhomogeneous sum."""
+    rng = random.Random(14)
+    for label in ("A3", "B3", "C3", "G2"):
+        rs = named(label)
+        for u in rs.elements():
+            bottom = bottom_restriction(u)
+            total = Polynomial.zero(rs.rank)
+            for degree in range(4):
+                q = random_homogeneous(rng, rs.rank, degree, rng.randint(1, 6))
+                assert divide_exact(q * bottom, bottom) == q, (label, u, degree)
+                total = total + q
+            assert divide_exact(total * bottom, bottom) == total, (label, u)
+
+
+def test_quotient_finds_terms_that_cancel_in_the_product():
+    """(a1^6 - a2^6) / (a1 - a2): every quotient term but the top one cancels in
+    the product.  In (a1^3 + 1) / (a1 + 1) the constant comes from a1."""
+    a1, a2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    expect = sum((a1 ** i * a2 ** (5 - i) for i in range(6)), Polynomial.zero(2))
+    assert divide_exact(a1 ** 6 - a2 ** 6, a1 - a2) == expect
+    x = Polynomial.variable(1, 1)
+    assert divide_exact(x ** 3 + 1, x + 1) == x * x - x + 1
+
+
+def test_quotient_raises_on_a_remainder_or_a_borrow():
+    a1, a2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    bottom = a2 * (a1 + 2 * a2)  # leading term 2*a2^2
+    with pytest.raises(NotDivisibleError, match="not a multiple of 2"):
+        divide_exact(a1 * a2 * a2 + a2 * a2 * a2, bottom)  # 1/2 at the first key
+    with pytest.raises(NotDivisibleError, match="leading monomial"):
+        divide_exact(a1 * a1 * a1, bottom)
+    # a2^2 over the lead a1*a2 borrows from the a1 field
+    with pytest.raises(NotDivisibleError, match="leading monomial"):
+        divide_exact(a1 * a1 + a2 * a2, a1 * a2)
+
+
+def test_sparse_high_degree_quotient_stays_sparse():
+    """Rank 8, degree 42, two terms: the per-variable degree box holds 1,339,044
+    monomials of the quotient's degree, so the division must walk only what the
+    terms reach."""
+    rank = 8
+    q = Polynomial(rank, {(12, 12, 12, 0, 6, 0, 0, 0): 3, (0, 0, 0, 0, 6, 12, 12, 12): -5})
+    factors = [(1, 1, 0, 0, 0, 0, 0, 0), (0, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0, 2), (1,) * rank]
+    bottom = Polynomial.one(rank)
+    for f in factors:
+        bottom = bottom.times_linear(f)
+    product = q * bottom
+    t0 = time.perf_counter()
+    got = divide_exact(product, bottom)
+    elapsed = time.perf_counter() - t0
+    expect = product
+    for f in factors:
+        expect = divide_exact(expect, f)
+    assert got == expect == q
+    assert elapsed < 1.0, f"{elapsed:.2f} s for a two-term quotient"
+
+
+PACKED_LAYOUT = {"_W", "_FIELD", "_MAX_EXP", "_guard", "_pack", "_unpack", "_degree"}
+
+
+def test_only_polyring_knows_the_packed_key_layout():
+    """The bit layout of packed monomials is polyring's alone: no other module
+    of the package imports it or reads it off the module."""
+    import ast
+    from pathlib import Path
+
+    import schubertcalc
+
+    package = Path(schubertcalc.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        if path.name == "polyring.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert not names & PACKED_LAYOUT, (path.name, sorted(names & PACKED_LAYOUT))
 
 
 def test_render_known_values():
@@ -326,6 +456,8 @@ def test_product_past_the_field_limit_raises_and_never_wraps():
         (top + a2) * (a1 + a2)
     with pytest.raises(OverflowError):
         divide_exact(top.times_linear((0, 1)) * a2, (0, 1)) * a1
+    with pytest.raises(NotDivisibleError):  # the remainder passes the limit in a1
+        divide_exact(Polynomial(2, {(MAX_EXP, 2): 1}), a1 * a2 + a1 * a1)
 
 
 @pytest.mark.parametrize("exp", [(-1, 0), (MAX_EXP + 1, 0), (70000, 0), (1, 2, 3)])
