@@ -35,7 +35,6 @@ from .rootsys import (
     all_reduced_words,
     bruhat_leq,
     build,
-    cartan_pairing,
     coeff_pairing,
     covers,
     named,

@@ -24,7 +24,10 @@ shared per-group table: the canonical word of ``w`` extends that of its
 prefix, so each column is one letter on the prefix's column, sharing its
 unchanged polynomials.  :func:`restrict` with an explicit ``word`` (an
 independent check of the table), and without one when the table lacks the
-column (as for :func:`base_constant`), runs a Bruhat-pruned pass instead.
+column (as for :func:`base_constant`), runs a Bruhat-pruned pass instead:
+it keeps only the states ``q <= v``, adds into term dicts it owns in
+place, and carries the prefix's images of the simple roots along the word,
+so it builds no matrix and returns ``S_v|_w`` alone.
 
 Two special values get their own entry points: the bottom restriction
 ``S_w|_w`` (a product of positive roots, by the closed formula) and the
@@ -36,7 +39,7 @@ All functions are pure; per-group memo tables are filled idempotently.
 
 from __future__ import annotations
 
-from .polyring import Polynomial
+from .polyring import Polynomial, _checked, _mul_into
 from .rootsys import Root, WeylElement, _first_negative, _per_group, _same_group, bruhat_leq, word_to_element
 from .gkm import GkmClass
 
@@ -50,10 +53,11 @@ __all__ = [
 ]
 
 
-def _extend(acc: dict, prefix: WeylElement, k: int, below=None) -> dict:
+def _extend(acc: dict, prefix: WeylElement, k: int) -> dict:
     """The column at ``prefix * r_{k+1} > prefix``, from the column ``acc`` at ``prefix``.
 
-    With ``below`` set, only new states ``q <= below`` are kept.
+    A copy: the table keeps ``acc``, and the new column shares its
+    unchanged polynomials, so nothing is added in place.
     """
     rs = prefix.rs
     factor = Polynomial.linear(prefix.act(rs.simple_roots[k]))
@@ -62,24 +66,34 @@ def _extend(acc: dict, prefix: WeylElement, k: int, below=None) -> dict:
     for p, poly in acc.items():
         if p.x[k] > 0:  # p * r_{k+1} > p
             q = p._step(k)
-            if below is None or bruhat_leq(q, below):
-                nxt[q] = nxt.get(q, zero).addmul(poly, factor)
+            nxt[q] = nxt.get(q, zero).addmul(poly, factor)
     return nxt
 
 
-def _billey_pass(w: WeylElement, below=None, word=None) -> dict[WeylElement, Polynomial]:
-    """One DP pass over a reduced word of ``w``, by default its canonical one.
+def _billey_pass(w: WeylElement, v: WeylElement, word=None) -> Polynomial:
+    """``S_v|_w`` from one pass over a reduced word of ``w``, by default its canonical one.
 
-    Returns the map ``v -> S_v|_w`` over all partial products reached;
-    with ``below`` set, only states ``q <= below`` are kept.
+    Only the states ``q <= v`` are kept, each with a term dict of its own
+    that the pass adds into in place: within one letter the sources
+    (``x[k] > 0``) and the targets (``x[k] < 0``) are disjoint, so nothing is
+    read after it is written.  ``cols[j]`` is ``prefix . alpha_{j+1}``, and
+    ``prefix r_k . alpha_j = cols[j] - A[k][j] cols[k]`` carries it along
+    the word, so no matrix is built.
     """
     rs = w.rs
-    acc = {rs.identity: Polynomial.one(rs.rank)}
-    prefix = rs.identity
+    cols = list(rs.simple_roots)
+    acc = {rs.identity: Polynomial.one(rs.rank)._t}  # never a target: only read
+    support = set(v.reduced_word())  # a letter outside it moves no state q <= v
     for i in w.reduced_word() if word is None else word:
-        acc = _extend(acc, prefix, i - 1, below)
-        prefix = prefix._step(i - 1)
-    return acc
+        k = i - 1
+        factor = Polynomial.linear(cols[k])._t
+        moves = [(p._step(k), t) for p, t in acc.items() if p.x[k] > 0] if i in support else ()
+        for q, t in moves:
+            if bruhat_leq(q, v):
+                _mul_into(acc.setdefault(q, {}), t, factor)
+        ck, row = cols[k], rs.cartan[k]
+        cols = [tuple(c - a * b for c, b in zip(col, ck)) if a else col for col, a in zip(cols, row)]
+    return _checked(rs.rank, acc.get(v, {}))
 
 
 def restrict(v: WeylElement, w: WeylElement, word=None) -> Polynomial:
@@ -90,7 +104,6 @@ def restrict(v: WeylElement, w: WeylElement, word=None) -> Polynomial:
     the same for every choice.
     """
     rs = _same_group(v, w)
-    zero = Polynomial.zero(rs.rank)
     if word is not None:
         word = tuple(int(i) for i in word)
         target = word_to_element(rs, word)
@@ -98,11 +111,11 @@ def restrict(v: WeylElement, w: WeylElement, word=None) -> Polynomial:
             raise ValueError("word is not reduced")
         if target != w:
             raise ValueError("word does not multiply to the requested element")
-        return _billey_pass(w, below=v, word=word).get(v, zero)
+        return _billey_pass(w, v, word)
     if not bruhat_leq(v, w):
-        return zero
-    col = rs.cache("restrict_all").get(w) or _billey_pass(w, below=v)
-    return col.get(v, zero)
+        return Polynomial.zero(rs.rank)
+    col = rs.cache("restrict_all").get(w)
+    return _billey_pass(w, v) if col is None else col[v]
 
 
 def restrict_all(w: WeylElement) -> dict[WeylElement, Polynomial]:

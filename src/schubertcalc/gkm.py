@@ -246,7 +246,7 @@ def left_dd(alpha: Root, p: GkmClass) -> GkmClass:
 
     def value(v):
         diff = p.value(v) - act(r, p.value(r * v))
-        return divide_exact(diff, alpha)
+        return divide_exact(diff, alpha) if diff else diff
 
     return GkmClass.from_function(rs, value)
 
@@ -264,8 +264,7 @@ def right_dd(alpha: Root, p: GkmClass) -> GkmClass:
 
     def value(v):
         diff = p.value(v) - p.value(v * r)
-        divisor = tuple(-c for c in v.act(alpha))
-        return divide_exact(diff, divisor)
+        return divide_exact(diff, tuple(-c for c in v.act(alpha))) if diff else diff
 
     return GkmClass.from_function(rs, value)
 

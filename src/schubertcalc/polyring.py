@@ -17,13 +17,15 @@ never come near the limit: a restriction or a structure constant has
 degree at most |Delta_+| (120 in E8).  Packed keys compare like the
 reversed exponent tuples, so the display order is (degree, key).
 
-The one product loop is ``p.addmul(a, b) == p + a * b``, accumulated into
-a copy of ``p``'s terms (Monagan and Pearce, CASC 2007); ``*`` and
-``times_linear`` call it with a zero ``p``.  The one exact division is
-``divide_exact(p, d)``, long division in packed-key order by a polynomial
-or a linear form, checked by construction: it serves both the divided
-differences (by a root) and the Schubert-basis elimination (by a bottom
-restriction, a product of roots).
+The one product loop is ``_mul_into(out, x, y)``, which adds the product
+of the packed terms ``x`` and ``y`` into the dict ``out`` in place (Monagan
+and Pearce, CASC 2007).  ``p.addmul(a, b) == p + a * b`` runs it on a copy
+of ``p``'s terms, ``*`` and ``times_linear`` call ``addmul`` with a zero
+``p``, and the Billey pass runs it on term dicts of its own.  The one
+exact division is ``divide_exact(p, d)``, long division in packed-key
+order by a polynomial or a linear form, checked by construction: it serves
+both the divided differences (by a root) and the Schubert-basis
+elimination (by a bottom restriction, a product of roots).
 
 ``Polynomial.terms`` is a read-only mapping from exponent tuples to
 coefficients, unpacked on read, and ``Polynomial(rank, {tuple: int})``
@@ -105,7 +107,9 @@ def _make(rank: int, terms: dict[int, int]) -> "Polynomial":
 
 
 def _checked(rank: int, terms: dict[int, int]) -> "Polynomial":
-    """``_make``, after checking that no exponent left its field."""
+    """``_make`` over ``terms`` less their zero coefficients, once no exponent left its field."""
+    if 0 in terms.values():
+        terms = {e: c for e, c in terms.items() if c}
     if terms and reduce(or_, terms) & _guard(rank):
         raise OverflowError(f"an exponent exceeds {_MAX_EXP}")
     return _make(rank, terms)
@@ -120,6 +124,23 @@ def _add_terms(out: dict[int, int], terms: dict[int, int], sign: int = 1) -> dic
             out[e] = s
         else:
             del out[e]
+    return out
+
+
+def _mul_into(out: dict[int, int], x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    """Add the product of the packed terms ``x`` and ``y`` into ``out`` in place; returns ``out``.
+
+    A coefficient that cancels stays in ``out`` as a zero, and no key is
+    checked for a set guard bit: ``_checked`` filters and checks once.
+    """
+    if len(x) < len(y):
+        x, y = y, x
+    get = out.get
+    y = list(y.items())
+    for e1, c1 in x.items():
+        for e2, c2 in y:
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
     return out
 
 
@@ -251,19 +272,7 @@ class Polynomial:
         """``self + a * b``, accumulated in one pass into a copy of ``self``'s terms."""
         if a.rank != self.rank or b.rank != self.rank:
             raise ValueError("polynomial rank mismatch")
-        x, y = a._t, b._t
-        if len(x) < len(y):
-            x, y = y, x
-        out = dict(self._t)
-        get = out.get
-        y = list(y.items())
-        for e1, c1 in x.items():
-            for e2, c2 in y:
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        if 0 in out.values():
-            out = {e: c for e, c in out.items() if c}
-        return _checked(self.rank, out)
+        return _checked(self.rank, _mul_into(dict(self._t), a._t, b._t))
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)

@@ -63,7 +63,6 @@ __all__ = [
     "bruhat_leq",
     "all_reduced_words",
     "coeff_pairing",
-    "cartan_pairing",
 ]
 
 MAX_ROOTS = 10_000
@@ -620,7 +619,9 @@ def coeff_pairing(rs: RootSystem, alpha: Root, beta: Root) -> int:
     """The integer c with ``alpha - r_beta(alpha) = c * beta``.
 
     ``alpha`` must be simple and ``beta`` positive.  Zero is a legal value.
-    Memoized per group for valid pairs only, so bad input raises every time.
+    This is ``<alpha_k, beta_check> = sum_i beta_check_i * A[i][k]``, read
+    off the stored coroot of ``beta``, so no reflection is built.  Memoized
+    per group for valid pairs only, so bad input raises every time.
 
     >>> W = named("A2")
     >>> coeff_pairing(W, W.simple_root(1), W.simple_root(1))
@@ -636,22 +637,6 @@ def coeff_pairing(rs: RootSystem, alpha: Root, beta: Root) -> int:
             raise ValueError(f"{alpha!r} is not a simple root")
         if beta not in rs._root_index:
             raise ValueError(f"{beta!r} is not a positive root of this system")
-        image = rs.reflection(beta).act(alpha)
-        diff = tuple(a - b for a, b in zip(alpha, image))
-        k = next(i for i, c in enumerate(beta) if c)
-        got, rem = divmod(diff[k], beta[k])
-        if rem or any(d != got * b for d, b in zip(diff, beta)):
-            raise ArithmeticError("alpha - r_beta(alpha) is not an integer multiple of beta")
-        cache[key] = got
+        k = alpha.index(1)
+        got = cache[key] = sum(d * row[k] for d, row in zip(rs._coroots[beta], rs.cartan))
     return got
-
-
-def cartan_pairing(rs: RootSystem, gamma: Root, beta: Root) -> int:
-    """``<gamma, beta_check>`` computed through the stored coroot of ``beta``.
-
-    Independent cross-check route for :func:`coeff_pairing`.
-    """
-    d = rs.coroot_coords(beta)
-    A = rs.cartan
-    n = rs.rank
-    return sum(d[i] * A[i][j] * gamma[j] for i in range(n) for j in range(n))

@@ -6,6 +6,7 @@ shared with the library path.
 """
 
 import itertools
+import time
 
 from schubertcalc import (
     Polynomial,
@@ -202,3 +203,32 @@ def test_shared_table_columns_match_independent_passes():
                 assert col.get(v, zero) == expect, (label, v, w)
                 if rs.order() <= 24:
                     assert expect == brute_restrict(v, w, word)
+
+
+def test_pruned_pass_matches_the_table_on_fresh_groups():
+    """``restrict(v, w)`` on a group whose table is empty runs the pruned pass;
+    each value must equal the table column built on a separate fresh group.
+    Every pair in the small groups, every ``v`` at ``w0`` in A4, B4 and D4."""
+    t0 = time.perf_counter()
+    for label in ("A3", "B3", "C3", "G2", "A4", "B4", "D4"):
+        rs, ref = named(label), named(label)
+        zero = Polynomial.zero(rs.rank)
+        for w in [rs.longest_element()] if rs.rank == 4 else rs.elements():
+            col = restrict_all(word_to_element(ref, w.reduced_word()))
+            for v in rs.elements():
+                expect = col.get(word_to_element(ref, v.reduced_word()), zero)
+                assert restrict(v, w) == expect, (label, v, w)
+        assert not rs.cache("restrict_all")
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0, f"{elapsed:.1f} s for the pruned passes and their tables"
+
+
+def test_base_constant_builds_no_matrix():
+    """The pass carries its factor roots along the word: on a fresh group the
+    identity keeps the only matrix."""
+    for label in ("A4", "B4", "D4", "F4", "G2"):
+        rs = named(label)
+        word = rs.longest_element().reduced_word()
+        for v in ((1,), (1, 2, 1), word[: len(word) // 2], word[len(word) // 2:]):
+            base_constant(word_to_element(rs, v))
+        assert [w for w in rs._pool.values() if w._mat is not None] == [rs.identity], label

@@ -12,7 +12,9 @@ from schubertcalc import (
     chern_times_schubert,
     class_from_json,
     class_to_json,
+    divide_exact,
     expand_in_schubert,
+    gkm,
     gkm_violation,
     is_gkm,
     left_act,
@@ -204,6 +206,25 @@ def test_right_act_defining_relation(s3, b2):
                 lhs = right_act(r, p)
                 rhs = p - chern_class(rs, alpha) * right_dd(alpha, p)
                 assert lhs == rhs
+
+
+def test_dd_divide_no_zero_dividend(monkeypatch, s4, b2):
+    """A zero pointwise difference is returned as it is, never divided."""
+    dividends = []
+
+    def spy(p, d):
+        dividends.append(p)
+        return divide_exact(p, d)
+
+    monkeypatch.setattr(gkm, "divide_exact", spy)
+    zeros = 0
+    for rs in (s4, b2):
+        for w in rs.elements():
+            S = schubert_class(w)
+            for alpha in rs.simple_roots:
+                for dd in (left_dd, right_dd):
+                    zeros += sum(v.is_zero() for v in dd(alpha, S).values)
+    assert zeros and dividends and all(dividends)
 
 
 def test_dd_rejects_non_class(a1):

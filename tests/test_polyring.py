@@ -31,6 +31,7 @@ from schubertcalc import (
     poly_to_json,
     render,
 )
+from schubertcalc.polyring import _mul_into
 
 
 def sym(p: Polynomial):
@@ -501,6 +502,21 @@ def test_addmul_rejects_rank_mismatch():
     for s, a, b in ((p2, p2, p3), (p2, p3, p2), (p3, p2, p2)):
         with pytest.raises(ValueError):
             s.addmul(a, b)
+
+
+def test_mul_into_accumulates_in_place_and_leaves_the_checks_to_addmul():
+    a1, a2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    p, a = a1 * a2 + a2 * a2, a1 - a2
+    out = dict(p._t)
+    assert _mul_into(out, a._t, a2._t) is out  # adds a1*a2 - a2^2
+    assert sorted(out.values()) == [0, 2]  # a2^2 cancelled and stays as a zero
+    assert p == a1 * a2 + a2 * a2 and a == a1 - a2  # the factors are not touched
+    got = p.addmul(a, a2)
+    assert got == 2 * a1 * a2 and 0 not in got.terms.values()
+    top = Polynomial(2, {(MAX_EXP, 3): 1})
+    _mul_into({}, top._t, a1._t)  # unchecked: the set guard bit is the caller's to find
+    with pytest.raises(OverflowError):
+        Polynomial.zero(2).addmul(top, a1)
 
 
 def test_addmul_past_the_field_limit_raises():
