@@ -59,12 +59,10 @@ from .gkm import (
     class_to_json,
     gkm_violation,
     is_gkm,
-    left_act,
     left_dd,
     leibniz_check,
     right_act,
     right_dd,
-    unit_class,
 )
 from .billey import (
     base_constant,

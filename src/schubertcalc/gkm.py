@@ -8,7 +8,7 @@ condition).  These lists model equivariant cohomology classes restricted
 to the torus fixed points, and all computations in this package happen in
 this model.
 
-The module provides the left/right group actions on classes, the left and
+The module provides the right group action on classes, the left and
 right divided difference operators, the invariant Chern classes attached
 to the simple roots, and the closed-form expansion of a Chern class times
 a Schubert class over the covers in Bruhat order.
@@ -27,15 +27,13 @@ from functools import cache
 
 from .errors import MixedRootSystemsError
 from .polyring import Polynomial, act, divide_exact, is_divisible, poly_from_json, poly_to_json
-from .rootsys import Root, RootSystem, WeylElement, coeff_pairing, covers
+from .rootsys import Root, RootSystem, WeylElement, _chevalley_covers
 
 __all__ = [
     "GkmClass",
     "SchubertExpansion",
-    "unit_class",
     "gkm_violation",
     "is_gkm",
-    "left_act",
     "right_act",
     "chern_class",
     "left_dd",
@@ -172,12 +170,6 @@ class SchubertExpansion:
 # -- constructors -------------------------------------------------------------
 
 
-def unit_class(rs: RootSystem) -> GkmClass:
-    """The all-ones class (the identity Schubert class)."""
-    one = Polynomial.one(rs.rank)
-    return GkmClass(rs, [one] * rs.order())
-
-
 def chern_class(rs: RootSystem, alpha: Root) -> GkmClass:
     """The invariant class with value ``w . (-alpha)`` at the point ``w``."""
     _check_simple(rs, alpha)
@@ -208,20 +200,7 @@ def is_gkm(p: GkmClass) -> bool:
     return gkm_violation(p) is None
 
 
-# -- group actions ------------------------------------------------------------
-
-
-def left_act(w: WeylElement, p: GkmClass) -> GkmClass:
-    """Left action of the group on classes.
-
-    At the point ``v`` the value is ``w . (p|_{w^{-1} v})``; the coefficient
-    action makes this a ring automorphism but not a module map.  For the
-    reflections through which the theory is developed this is the usual
-    twist-and-reindex formula.
-    """
-    rs = p.rs
-    winv = w.inverse()
-    return GkmClass.from_function(rs, lambda v: act(w, p.value(winv * v)))
+# -- the right action ---------------------------------------------------------
 
 
 def right_act(w: WeylElement, p: GkmClass) -> GkmClass:
@@ -277,15 +256,12 @@ def chern_times_schubert(rs: RootSystem, alpha: Root, w: WeylElement) -> Schuber
 
     The coefficient on ``S_w`` is ``-(w . alpha)``; each cover
     ``w' = w r_beta`` of ``w`` carries the integer pairing of ``alpha``
-    against ``beta``.  Zero terms are omitted.
+    against ``beta`` (``rootsys._chevalley_covers``, the terms the engine's
+    recurrence sums).  Zero terms are omitted.
     """
     _check_simple(rs, alpha)
-    rank = rs.rank
     coeffs: dict[WeylElement, Polynomial] = {w: -Polynomial.linear(w.act(alpha))}
-    for wp, beta in covers(w):
-        m = coeff_pairing(rs, alpha, beta)
-        if m:
-            coeffs[wp] = Polynomial.integer(rank, m)
+    coeffs.update((wp, Polynomial.integer(rs.rank, m)) for wp, m in _chevalley_covers(w, alpha))
     return SchubertExpansion(rs, coeffs)
 
 

@@ -45,7 +45,7 @@ from .gkm import GkmClass, SchubertExpansion
 from .polyring import Polynomial, _add_terms, _make, divide_exact, render
 from .recurrence import _integer, structure_constant
 from .rootsys import (
-    RootSystem, WeylElement, _per_group, _same_group, all_reduced_words, coeff_pairing, covers,
+    RootSystem, WeylElement, _chevalley_covers, _per_group, _same_group, all_reduced_words, covers,
     word_to_element,
 )
 
@@ -170,14 +170,10 @@ def ordinary_recurrence_check(w: WeylElement, v: WeylElement, u: WeylElement, r_
     def triple(a, b, c):
         return _integer(oracle_constant(a, b, w0 * c))
 
+    wr = w * r
     lhs = triple(w, v * r, u * r)
-    rhs = triple(w * r, v * r, u) + triple(w * r, v, u * r)
-    for wp, beta in covers(w):
-        if wp == w * r:
-            continue
-        m = coeff_pairing(rs, alpha, beta)
-        if m:
-            rhs += m * triple(wp, v, u * r)
+    rhs = triple(wr, v * r, u) + triple(wr, v, u * r)
+    rhs += sum(m * triple(wp, v, u * r) for wp, m in _chevalley_covers(w, alpha) if wp is not wr)
     return lhs == rhs
 
 

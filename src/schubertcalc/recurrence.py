@@ -15,6 +15,9 @@ reflection through the least-index ascent of ``w`` (``wr > w``; such an
                  + sum over covers w' = w r_beta of w, w' != wr,
                    of <alpha,beta> c(w',vr,u).
 
+The cover sum is read from ``rootsys._chevalley_covers``: the terms that gkm's
+``chern_times_schubert`` expands and ``verify --suite props`` checks against the oracle.
+
 Every recursive call raises ``l(w)`` or keeps ``w`` and lowers ``l(v)``,
 so the recursion terminates at the base case ``w = w0``, where the
 constant is the fixed-point restriction ``S_v|_{w0}`` when ``u = w0`` and
@@ -44,7 +47,7 @@ from .billey import base_constant
 from .errors import DimensionMismatchError
 from .gkm import SchubertExpansion, _zero
 from .polyring import Polynomial, render
-from .rootsys import WeylElement, _same_group, bruhat_leq, coeff_pairing, covers
+from .rootsys import WeylElement, _chevalley_covers, _same_group, bruhat_leq
 
 __all__ = [
     "ConstantKey",
@@ -128,11 +131,7 @@ def _rule(rs, w, v, u, drop, first_r):
     subs = [(1, wr, v, u._step(k)), (1, wr, vr, u)]
     if not (drop and u.length == w.length + v.length):
         subs.append((-Polynomial.linear(w.act(alpha)), w, vr, u))
-    for wp, beta in covers(w):
-        if wp is not wr:
-            m = coeff_pairing(rs, alpha, beta)
-            if m:
-                subs.append((m, wp, vr, u))
+    subs += [(m, wp, vr, u) for wp, m in _chevalley_covers(w, alpha) if wp is not wr]
     return "recurrence", k + 1, subs
 
 

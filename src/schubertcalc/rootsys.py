@@ -542,8 +542,9 @@ def perm_to_element(rs: RootSystem, oneline) -> WeylElement:
 def word_to_element(rs: RootSystem, word) -> WeylElement:
     """Product of simple reflections given by a (not necessarily reduced) word."""
     w = rs.identity
-    for i in word:
-        w = w * rs.simple_reflection(int(i))
+    for i in map(int, word):
+        rs._check_index(i)
+        w = w._step(i - 1)
     return w
 
 
@@ -610,8 +611,7 @@ def all_reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
         return [()]
     got = []
     for i in w.right_descents():
-        shorter = w * w.rs.simple_reflection(i)
-        got.extend(word + (i,) for word in all_reduced_words(shorter))
+        got.extend(word + (i,) for word in all_reduced_words(w._step(i - 1)))
     return got
 
 
@@ -640,3 +640,11 @@ def coeff_pairing(rs: RootSystem, alpha: Root, beta: Root) -> int:
         k = alpha.index(1)
         got = cache[key] = sum(d * row[k] for d, row in zip(rs._coroots[beta], rs.cartan))
     return got
+
+
+def _chevalley_covers(w: WeylElement, alpha: Root) -> list[tuple[WeylElement, int]]:
+    """Chevalley's cover terms for ``c_{-alpha} * S_w`` (Kostant-Kumar): each cover
+    ``w' = w r_beta`` of ``w`` with ``m = <alpha, beta_check>`` nonzero, as ``(w', m)``
+    in :func:`covers` order; ``alpha`` must be simple."""
+    rs = w.rs
+    return [(wp, m) for wp, beta in covers(w) if (m := coeff_pairing(rs, alpha, beta))]

@@ -41,7 +41,6 @@ from schubertcalc import (
     structure_constant,
     trace_constant,
     triple_constant,
-    unit_class,
     verify_sweep,
 )
 
@@ -223,7 +222,7 @@ def test_acceptance_6_operator_property_suites(s3, s4, b2, g2):
         rng = random.Random(2024)
 
         def random_class(rs):
-            total = unit_class(rs) * 0
+            total = schubert_class(rs.identity) * 0
             for w in rs.elements():
                 c = rng.randint(-3, 3)
                 if c:

@@ -8,6 +8,8 @@ shared with the library path.
 import itertools
 import time
 
+import pytest
+
 from schubertcalc import (
     Polynomial,
     act,
@@ -22,7 +24,6 @@ from schubertcalc import (
     restrict,
     restrict_all,
     schubert_class,
-    unit_class,
     word_to_element,
 )
 
@@ -132,7 +133,7 @@ def test_schubert_class_values(s3, a1):
     assert cls.value(perm(s3, "213")) == Polynomial.variable(2, 1)
     assert render(cls.value(perm(s3, "321")), "y") == "y3 - y1"
 
-    assert schubert_class(s3.identity) == unit_class(s3)
+    assert all(p == Polynomial.one(2) for p in schubert_class(s3.identity).values)
 
     s1 = a1.simple_reflection(1)
     cls1 = schubert_class(s1)
@@ -154,6 +155,14 @@ def test_restrict_rejects_unreduced_word(s3):
         pass
     else:
         raise AssertionError("unreduced word must be rejected")
+
+
+def test_restrict_rejects_a_reduced_word_of_another_element(s3):
+    v, w = perm(s3, "213"), perm(s3, "231")
+    other = perm(s3, "312").reduced_word()
+    assert len(other) == w.length
+    with pytest.raises(ValueError, match="word does not multiply to the requested element"):
+        restrict(v, w, word=other)
 
 
 def test_restriction_in_b2_is_word_independent(b2):

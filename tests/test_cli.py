@@ -38,6 +38,27 @@ def test_startup_leaves_dataclasses_and_inspect_unloaded():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_runtime_imports_only_the_standard_library():
+    """Every import in the package is relative or names a standard-library module."""
+    import ast
+
+    src = os.path.dirname(schubertcalc.__file__)
+    files = sorted(f for f in os.listdir(src) if f.endswith(".py"))
+    assert "cli.py" in files
+    for name in files:
+        with open(os.path.join(src, name)) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                roots = [] if node.level else [node.module.split(".")[0]]
+            elif isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            else:
+                continue
+            for root in roots:
+                assert root in sys.stdlib_module_names, (name, node.lineno, root)
+
+
 # -- documented example invocations --------------------------------------------
 
 
@@ -252,6 +273,36 @@ def test_bad_group_file_is_a_usage_error(tmp_path, capsys, data, message):
     assert run(capsys, "info", "--group", str(path)) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "contents,message",
+    [
+        ('{"label": "G2"}', "JSON group file must contain a 'cartan' key"),
+        ("[[2, -1], [-1, 2]]", "unsupported group file contents"),
+    ],
+    ids=["no-cartan", "json-list"],
+)
+def test_group_file_of_another_shape_is_a_usage_error(tmp_path, capsys, contents, message):
+    path = tmp_path / "group.json"
+    path.write_text(contents)
+    assert run(capsys, "info", "--group", str(path)) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "element,message",
+    [
+        ("", "empty element"),
+        ("  ", "empty element"),
+        ("s9", "simple index out of range in 's9'"),
+        ("s1 s0", "simple index out of range in 's1 s0'"),
+        ("x1", "cannot parse element 'x1'"),
+        ("s1 2", "cannot parse element 's1 2'"),
+    ],
+)
+def test_unparsable_element_is_a_usage_error(capsys, element, message):
+    argv = ("constant", "--group", "A3", "--w", element, "--v", "2134", "--u", "2134")
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 # -- exit codes ----------------------------------------------------------------------
 
 
@@ -443,6 +494,19 @@ def test_truncated_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
     assert run(capsys, *argv)[:2] == (0, "y2 - y1\n")
     assert entry.read_text() == intact  # recomputed and written again
     assert list(tmp_path.iterdir()) == [entry]  # no temporary file left behind
+
+
+def test_failed_cache_write_is_best_effort(tmp_path, capsys, monkeypatch):
+    argv = ("constant", "--group", "A2", "--w", "231", "--v", "213", "--u", "231", "--basis", "y")
+    first, blocked = tmp_path / "first", tmp_path / "blocked"
+    monkeypatch.setenv("SCHUBERTCALC_CACHE_DIR", str(first))
+    assert run(capsys, *argv) == (0, "y2 - y1\n", "")
+    # a directory at the entry's path makes the final rename fail, even for root
+    entry = blocked / _cache_entry(first).name
+    entry.mkdir(parents=True)
+    monkeypatch.setenv("SCHUBERTCALC_CACHE_DIR", str(blocked))
+    assert run(capsys, *argv) == (0, "y2 - y1\n", "")
+    assert list(blocked.iterdir()) == [entry] and entry.is_dir() and not any(entry.iterdir())
 
 
 def test_edited_cache_entry_is_not_served(tmp_path, capsys, monkeypatch):

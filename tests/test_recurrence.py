@@ -10,6 +10,7 @@ from schubertcalc import (
     Polynomial,
     TraceNode,
     bruhat_leq,
+    chern_times_schubert,
     coeff_pairing,
     covers,
     format_trace,
@@ -28,6 +29,8 @@ from schubertcalc import (
     triple_constant,
     word_to_element,
 )
+
+from schubertcalc.recurrence import _fast_zero, _rule
 
 from conftest import e8_cartan, perm
 
@@ -286,6 +289,31 @@ def test_trace_and_value_folds_agree(s4, b2, g2):
                 node = trace_constant(w, v, u, drop_equivariant=drop)
                 assert node.value == structure_constant(w, v, u)
                 assert replay_trace(node)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_recurrence_covers_are_the_chern_expansion(label):
+    # every node of a sweep's traces is _rule at its key (replay_trace checks
+    # that), so walking every triple reaches every recurrence node; its integer
+    # weights are the closed-form expansion that the props suite checks against
+    # the oracle, less the terms at w and w r_k
+    rs = named(label)
+    elements = rs.elements()
+    nodes = 0
+    for w, v, u in itertools.product(elements, repeat=3):
+        if _fast_zero(w, v, u):
+            continue
+        rule, r, subs = _rule(rs, w, v, u, True, None)
+        if rule != "recurrence":
+            continue
+        nodes += 1
+        wr, vr = w._step(r - 1), v._step(r - 1)
+        covered = [(m, a, b, c) for m, a, b, c in subs if type(m) is int and a is not wr]
+        assert all((b, c) == (vr, u) for m, a, b, c in covered)
+        exp = chern_times_schubert(rs, rs.simple_root(r), w).coeffs
+        want = [(x, c.constant_term()) for x, c in exp.items() if x is not w and x is not wr]
+        assert [(a, m) for m, a, b, c in covered] == want
+    assert nodes
 
 
 @pytest.mark.parametrize("label", ["A3", "B3"])
@@ -570,6 +598,59 @@ def test_constants_in_large_groups(label, w_word, v_word, tmp_path):
     word = _greatest_descent_word(w)
     assert word != w.reduced_word()
     assert not c.is_zero() and c == restrict(v, w, word=word)
+
+
+def test_engine_is_thread_safe_on_one_cold_group():
+    # four threads fill one fresh group's tables and memo at once, with thread
+    # switches forced often; every value must match a serial run on its own group
+    import random
+    import sys
+    import threading
+
+    rng = random.Random(17)
+    ref = named("B3")
+    elements = ref.elements()
+    triples = []
+    for _ in range(200):
+        w, v = rng.choice(elements), rng.choice(elements)
+        lo, hi = max(w.length, v.length), w.length + v.length
+        u = rng.choice([
+            x for x in elements if lo <= x.length <= hi and bruhat_leq(w, x) and bruhat_leq(v, x)
+        ])
+        triples.append(tuple(x.reduced_word() for x in (w, v, u)))
+    pair = triples[0][:2]
+
+    def run(rs):
+        got = {}
+        for words in triples:
+            w, v, u = (word_to_element(rs, word) for word in words)
+            got[w.describe(), v.describe(), u.describe()] = structure_constant(w, v, u)
+        w, v = (word_to_element(rs, word) for word in pair)
+        got["product"] = {x.describe(): c for x, c in product_expansion(w, v).items()}
+        return got
+
+    serial = run(named("B3"))
+    assert any(not c.is_zero() for k, c in serial.items() if k != "product")
+    shared = named("B3")
+    results = [None] * 4
+
+    def worker(k):
+        try:
+            results[k] = run(shared)
+        except Exception as exc:
+            results[k] = exc
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [serial] * 4
 
 
 def test_recurrence_imports_nothing_from_the_oracle():

@@ -30,6 +30,8 @@ from schubertcalc import (
     word_to_element,
 )
 
+from schubertcalc.rootsys import _chevalley_covers
+
 from conftest import e8_cartan, perm
 
 
@@ -359,6 +361,26 @@ def test_all_reduced_words_s4(s4):
     assert len(all_reduced_words(s4.longest_element())) == 16
 
 
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_word_to_element_refuses_letters_outside_the_rank(label):
+    rs = named(label)
+    for letter in (0, rs.rank + 1):
+        with pytest.raises(IndexError):
+            word_to_element(rs, [1, letter])
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_word_to_element_of_a_non_reduced_word_is_its_reduction(label):
+    rs = named(label)
+    for w in rs.elements():
+        word = w.reduced_word()
+        for i in range(1, rs.rank + 1):
+            assert word_to_element(rs, word + (i, i)) is w  # w s_i s_i = w
+            assert word_to_element(rs, (i, i) + word) is w
+    w0 = rs.longest_element()
+    assert word_to_element(rs, w0.reduced_word() * 2) is rs.identity  # w0 is an involution
+
+
 # -- pairings -----------------------------------------------------------------------
 
 
@@ -419,6 +441,19 @@ def test_pairing_memo_keeps_rejecting_bad_input():
             with pytest.raises(ValueError):
                 coeff_pairing(rs, rs.simple_root(1), tuple(-c for c in highest))
         assert len(rs.cache("coeff_pairing")) == rs.rank
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2"])
+def test_chevalley_covers_is_the_filtered_cover_list(label):
+    rs = named(label)
+    for w in rs.elements():
+        for alpha in rs.simple_roots:
+            brute = []
+            for wp, beta in covers(w):
+                m = coeff_pairing(rs, alpha, beta)
+                if m != 0:
+                    brute.append((wp, m))
+            assert _chevalley_covers(w, alpha) == brute, (label, w, alpha)
 
 
 # -- enumeration -----------------------------------------------------------------------
