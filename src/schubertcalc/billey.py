@@ -105,7 +105,7 @@ def restrict(v: WeylElement, w: WeylElement, word=None) -> Polynomial:
     """
     rs = _same_group(v, w)
     if word is not None:
-        word = tuple(int(i) for i in word)
+        word = tuple(word)
         target = word_to_element(rs, word)
         if len(word) != target.length:
             raise ValueError("word is not reduced")
@@ -118,27 +118,18 @@ def restrict(v: WeylElement, w: WeylElement, word=None) -> Polynomial:
     return _billey_pass(w, v) if col is None else col[v]
 
 
+@_per_group("restrict_all")
 def restrict_all(w: WeylElement) -> dict[WeylElement, Polynomial]:
     """The column ``{v: S_v|_w for v <= w}``, from the shared table.
 
-    Walks down the canonical word of ``w`` to its longest cached prefix,
-    then extends that column one letter at a time, caching each prefix.
+    The canonical word of ``w`` ends in its least descent, so the column is
+    one letter on its prefix's column, which fills first.
     """
-    rs = w.rs
-    cache = rs.cache("restrict_all")
-    if not cache:
-        cache[rs.identity] = {rs.identity: Polynomial.one(rs.rank)}
-    letters, u = [], w
-    while u not in cache:  # the canonical word of u ends in its least descent
-        k = _first_negative(u.x)
-        letters.append(k)
-        u = u._step(k)
-    col = cache[u]
-    for k in reversed(letters):
-        col = _extend(col, u, k)
-        u = u._step(k)
-        cache[u] = col
-    return col
+    if w.length == 0:
+        return {w: Polynomial.one(w.rs.rank)}
+    k = _first_negative(w.x)
+    prefix = w._step(k)
+    return _extend(restrict_all(prefix), prefix, k)
 
 
 def bottom_factors(w: WeylElement) -> list[Root]:

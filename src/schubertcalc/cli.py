@@ -26,7 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import billey, oracle, recurrence
+from . import billey, gkm, oracle, recurrence
 from .errors import (
     EngineMismatchError,
     NonzeroResidualError,
@@ -34,7 +34,6 @@ from .errors import (
     SchubertError,
     UnknownTypeError,
 )
-from .gkm import SchubertExpansion
 from .polyring import Polynomial, poly_from_json, poly_to_json, render
 from .rootsys import RootSystem, WeylElement, named, build, perm_to_element, word_to_element
 
@@ -103,12 +102,6 @@ def _default_basis(rs: RootSystem, basis: str | None) -> str:
     if basis == "y" and not rs.is_type_a:
         raise UsageError("the y basis is only available for type A groups")
     return basis
-
-
-def _expansion_json(exp: SchubertExpansion) -> list[dict]:
-    return [
-        {"element": u.describe(), "coeff": poly_to_json(c)} for u, c in exp.items()
-    ]
 
 
 @functools.cache
@@ -215,10 +208,12 @@ def _cache_write(path: Path, key: str, value: Polynomial) -> None:
             Path(tmp).unlink(missing_ok=True)  # the cache is best-effort
 
 
-def _cmd_constant(args) -> int:
-    rs = load_group(args.group)
-    basis = _default_basis(rs, args.basis)
-    w, v, u = (parse_element(rs, getattr(args, x)) for x in "wvu")
+def _emit(args, text: str, /, **fields) -> None:
+    """Print ``fields`` as one JSON object under ``--output json``, else ``text``."""
+    print(json.dumps(fields) if args.output == "json" else text)
+
+
+def _cmd_constant(args, rs, basis, w, v, u) -> int:
     key = _cache_key(rs, w, v, u, args.engine)
     cache_path = _result_cache_path(key, args.engine)
     value = None
@@ -235,23 +230,13 @@ def _cmd_constant(args) -> int:
         other = oracle.oracle_constant(w, v, u)
         if other != value:
             raise EngineMismatchError(w, v, u, value, other)
-    if args.output == "json":
-        print(json.dumps({
-            "group": rs.type_label,
-            "w": w.describe(), "v": v.describe(), "u": u.describe(),
-            "engine": args.engine,
-            "value": poly_to_json(value),
-            "value_str": render(value, basis),
-        }))
-    else:
-        print(render(value, basis))
+    value_str = render(value, basis)
+    _emit(args, value_str, group=rs.type_label, w=w.describe(), v=v.describe(), u=u.describe(),
+          engine=args.engine, value=poly_to_json(value), value_str=value_str)
     return 0
 
 
-def _cmd_product(args) -> int:
-    rs = load_group(args.group)
-    basis = _default_basis(rs, args.basis)
-    w, v = parse_element(rs, args.w), parse_element(rs, args.v)
+def _cmd_product(args, rs, basis, w, v) -> int:
     if args.engine == "oracle":
         exp = oracle.oracle_product(w, v)
     else:
@@ -262,80 +247,52 @@ def _cmd_product(args) -> int:
         for u in sorted(exp.coeffs.keys() | other.coeffs.keys(), key=rs.element_index):
             if exp.coeff(u) != other.coeff(u):
                 raise EngineMismatchError(w, v, u, exp.coeff(u), other.coeff(u))
-    if args.output == "json":
-        print(json.dumps({
-            "group": rs.type_label,
-            "w": w.describe(), "v": v.describe(),
-            "engine": args.engine,
-            "terms": _expansion_json(exp),
-        }))
-    else:
-        if not exp.coeffs:
-            print("0")
-        for u, c in exp.items():
-            print(f"S[{u.describe()}] : {render(c, basis)}")
+    text = "\n".join(f"S[{u.describe()}] : {render(c, basis)}" for u, c in exp.items())
+    _emit(args, text or "0", group=rs.type_label, w=w.describe(), v=v.describe(), engine=args.engine,
+          terms=[{"element": u.describe(), "coeff": poly_to_json(c)} for u, c in exp.items()])
     return 0
 
 
-def _cmd_restrict(args) -> int:
-    rs = load_group(args.group)
-    basis = _default_basis(rs, args.basis)
-    v, w = parse_element(rs, args.v), parse_element(rs, args.w)
+def _cmd_restrict(args, rs, basis, v, w) -> int:
     value = billey.restrict(v, w)
-    if args.output == "json":
-        print(json.dumps({
-            "group": rs.type_label,
-            "v": v.describe(), "w": w.describe(),
-            "value": poly_to_json(value),
-            "value_str": render(value, basis),
-        }))
-    else:
-        print(render(value, basis))
+    value_str = render(value, basis)
+    _emit(args, value_str, group=rs.type_label, v=v.describe(), w=w.describe(),
+          value=poly_to_json(value), value_str=value_str)
     return 0
 
 
 def _run_props(rs: RootSystem) -> list[str]:
     """Quick operator property suite; returns a list of violations."""
-    from .gkm import (
-        chern_class,
-        chern_times_schubert,
-        is_gkm,
-        leibniz_check,
-        left_dd,
-        right_dd,
-    )
-
     bad = []
     classes = [billey.schubert_class(w) for w in rs.elements()]
     for w, s in zip(rs.elements(), classes):
-        if not is_gkm(s):
+        if not gkm.is_gkm(s):
             bad.append(f"GKM fails for the Schubert class of {w.describe()}")
     for i in range(1, rs.rank + 1):
         alpha = rs.simple_root(i)
-        if not is_gkm(chern_class(rs, alpha)):
+        if not gkm.is_gkm(gkm.chern_class(rs, alpha)):
             bad.append(f"GKM fails for the Chern class of alpha_{i}")
         for w, s in zip(rs.elements(), classes):
-            for op, side in ((left_dd, "left"), (right_dd, "right")):
+            for op, side in ((gkm.left_dd, "left"), (gkm.right_dd, "right")):
                 out = op(alpha, s)
-                if not is_gkm(out):
+                if not gkm.is_gkm(out):
                     bad.append(f"GKM fails for {side} dd_{i} of S_{w.describe()}")
         for w in rs.elements():
-            exp = chern_times_schubert(rs, alpha, w)
-            direct = oracle.expand_in_schubert(chern_class(rs, alpha) * billey.schubert_class(w))
+            exp = gkm.chern_times_schubert(rs, alpha, w)
+            direct = oracle.expand_in_schubert(gkm.chern_class(rs, alpha) * billey.schubert_class(w))
             if exp != direct:
                 bad.append(f"Chern expansion mismatch at alpha_{i}, {w.describe()}")
     for w in rs.elements()[: min(6, rs.order())]:
         for v in rs.elements()[: min(6, rs.order())]:
             for i in range(1, rs.rank + 1):
-                if not leibniz_check(
+                if not gkm.leibniz_check(
                     rs.simple_root(i), billey.schubert_class(w), billey.schubert_class(v)
                 ):
                     bad.append(f"Leibniz fails at alpha_{i}, ({w.describe()}, {v.describe()})")
     return bad
 
 
-def _cmd_verify(args) -> int:
-    rs = load_group(args.group)
+def _cmd_verify(args, rs, basis) -> int:
     oracle._check_sweep_cap(rs, args.force)  # every suite walks the whole group
     payload = {}
     lines = []
@@ -358,21 +315,11 @@ def _cmd_verify(args) -> int:
         lines.append(f"props {rs.type_label or rs.rank}: {len(bad)} violations")
         lines += [f"  {b}" for b in bad]
         invariant_bad = invariant_bad or bool(bad)
-    if args.output == "json":
-        print(json.dumps(payload))
-    else:
-        print("\n".join(lines))
-    if mismatch:
-        return MISMATCH_EXIT
-    if invariant_bad:
-        return INVARIANT_EXIT
-    return 0
+    _emit(args, "\n".join(lines), **payload)
+    return MISMATCH_EXIT if mismatch else INVARIANT_EXIT if invariant_bad else 0
 
 
-def _cmd_trace(args) -> int:
-    rs = load_group(args.group)
-    basis = _default_basis(rs, args.basis)
-    w, v, u = (parse_element(rs, getattr(args, x)) for x in "wvu")
+def _cmd_trace(args, rs, basis, w, v, u) -> int:
     node = recurrence.trace_constant(
         w, v, u,
         drop_equivariant=not args.keep_equivariant,
@@ -397,35 +344,28 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_info(args) -> int:
-    rs = load_group(args.group)
-    w0 = rs.longest_element()
-    data = {
-        "label": rs.type_label,
-        "rank": rs.rank,
-        "cartan": [list(row) for row in rs.cartan],
-        "positive_roots": len(rs.positive_roots),
-        "order": rs.order(),
-        "w0": w0.describe(),
-    }
-    if args.output == "json":
-        print(json.dumps(data))
-    else:
-        print(f"group      : {data['label'] or 'custom'}")
-        print(f"rank       : {data['rank']}")
-        print(f"|Delta_+|  : {data['positive_roots']}")
-        print(f"|W|        : {data['order']}")
-        print(f"w0         : {data['w0']}")
+def _cmd_info(args, rs, basis) -> int:
+    label, order, w0 = rs.type_label, rs.order(), rs.longest_element().describe()
+    text = (
+        f"group      : {label or 'custom'}\n"
+        f"rank       : {rs.rank}\n"
+        f"|Delta_+|  : {len(rs.positive_roots)}\n"
+        f"|W|        : {order}\n"
+        f"w0         : {w0}"
+    )
+    _emit(args, text, label=label, rank=rs.rank, cartan=[list(row) for row in rs.cartan],
+          positive_roots=len(rs.positive_roots), order=order, w0=w0)
     return 0
 
 
+# each command, with the elements it reads, in command-line order
 _COMMANDS = {
-    "constant": _cmd_constant,
-    "product": _cmd_product,
-    "restrict": _cmd_restrict,
-    "verify": _cmd_verify,
-    "trace": _cmd_trace,
-    "info": _cmd_info,
+    "constant": (_cmd_constant, "wvu"),
+    "product": (_cmd_product, "wv"),
+    "restrict": (_cmd_restrict, "vw"),
+    "verify": (_cmd_verify, ""),
+    "trace": (_cmd_trace, "wvu"),
+    "info": (_cmd_info, ""),
 }
 
 
@@ -435,8 +375,11 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
+    cmd, names = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        rs = load_group(args.group)
+        basis = _default_basis(rs, getattr(args, "basis", None))
+        return cmd(args, rs, basis, *[parse_element(rs, getattr(args, x)) for x in names])
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

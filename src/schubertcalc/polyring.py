@@ -229,8 +229,9 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.rank, frozenset(self._t.items())))
+        if self._hash is None:  # a constant hashes as the int it equals
+            t = self._t
+            self._hash = hash(t.get(0, 0)) if t.keys() <= {0} else hash((self.rank, frozenset(t.items())))
         return self._hash
 
     def __repr__(self) -> str:

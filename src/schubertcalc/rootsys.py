@@ -531,7 +531,10 @@ def perm_to_element(rs: RootSystem, oneline) -> WeylElement:
     if not rs.is_type_a:
         raise UnknownTypeError("one-line notation requires a type A root system")
     n = rs.rank + 1
-    perm = tuple(int(x) for x in oneline)
+    perm = tuple(oneline)
+    for x in perm:
+        if type(x) is not int:
+            raise ValueError(f"permutation entry {x!r} is not an int")
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"{oneline!r} is not a permutation of 1..{n}")
     x = tuple(b - a for a, b in zip(perm, perm[1:]))
@@ -542,7 +545,9 @@ def perm_to_element(rs: RootSystem, oneline) -> WeylElement:
 def word_to_element(rs: RootSystem, word) -> WeylElement:
     """Product of simple reflections given by a (not necessarily reduced) word."""
     w = rs.identity
-    for i in map(int, word):
+    for i in word:
+        if type(i) is not int:
+            raise ValueError(f"word letter {i!r} is not an int")
         rs._check_index(i)
         w = w._step(i - 1)
     return w

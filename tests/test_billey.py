@@ -106,6 +106,19 @@ def test_graham_positivity_of_restrictions_s4(s4):
             assert all(c >= 0 for c in val.terms.values()), (v, w)
 
 
+def test_restrict_all_fills_every_prefix_of_the_canonical_word_once():
+    """One column per prefix, shortest first, each one letter on the last."""
+    rs = named("B3")
+    w0 = rs.longest_element()
+    col = restrict_all(w0)
+    word = w0.reduced_word()
+    table = rs.cache("restrict_all")
+    assert list(table) == [word_to_element(rs, word[:k]) for k in range(len(word) + 1)]
+    assert table[w0] is col and table[rs.identity] == {rs.identity: 1}
+    for v in rs.elements():
+        assert col[v] == brute_restrict(v, w0)
+
+
 def test_bottom_restriction(s3, s4, b2, g2):
     a1 = Polynomial.variable(2, 1)
     a2 = Polynomial.variable(2, 2)
@@ -163,6 +176,15 @@ def test_restrict_rejects_a_reduced_word_of_another_element(s3):
     assert len(other) == w.length
     with pytest.raises(ValueError, match="word does not multiply to the requested element"):
         restrict(v, w, word=other)
+
+
+
+@pytest.mark.parametrize("word,letter", [([1.5], "1.5"), ([True], "True")])
+def test_restrict_refuses_a_word_letter_that_is_not_an_int(s3, word, letter):
+    """1.5 and True are not read as the letter 1 of the word of s1."""
+    s1 = s3.simple_reflection(1)
+    with pytest.raises(ValueError, match=f"^word letter {letter} is not an int$"):
+        restrict(s1, s1, word=word)
 
 
 def test_restriction_in_b2_is_word_independent(b2):

@@ -2,9 +2,11 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -327,6 +329,53 @@ def test_mismatch_exit_code(capsys, monkeypatch):
     assert code == 3 and "engine mismatch" in err
 
 
+def test_verify_props_violation_exits_4(capsys, monkeypatch):
+    import schubertcalc.gkm
+
+    monkeypatch.setattr(schubertcalc.gkm, "is_gkm", lambda cls: False)
+    code, out, _ = run(capsys, "verify", "--group", "A2", "--suite", "props")
+    assert code == 4
+    assert "GKM fails for the Schubert class of 123" in out
+
+
+def verify_both_outputs(capsys, suite):
+    """``verify --group A2 --suite <suite>`` in text and JSON: (code, text lines, payload).
+
+    Elapsed times are masked: ``elapsed_ms`` is dropped from each report
+    and the trailing ``… ms`` of its header line reads ``# ms``.
+    """
+    code, text, err = run(capsys, "verify", "--group", "A2", "--suite", suite)
+    assert err == ""
+    json_code, out, err = run(capsys, "verify", "--group", "A2", "--suite", suite, "--output", "json")
+    assert (json_code, err) == (code, "")
+    payload = json.loads(out)
+    for report in payload.values():
+        assert isinstance(report.pop("elapsed_ms", 0.0), float)
+    lines = text.splitlines()
+    lines[0] = re.sub(r", \d+ ms$", ", # ms", lines[0])
+    return code, lines, payload
+
+
+def sweep_payload(**edits):
+    return {"sweep": {
+        "group": "A2", "triples": 216, "mismatches": [], "max_coeff": 1,
+        "ordinary_violations": [], "coeff_violations": [], **edits,
+    }}
+
+
+def agreeing_engines(monkeypatch, edit):
+    """Edit the sweep's engine constants and let its oracle agree with the edit."""
+    from schubertcalc import oracle
+
+    real = oracle.structure_constant
+
+    def edited(w, v, u):
+        return edit(w, v, u, real(w, v, u))
+
+    monkeypatch.setattr(oracle, "structure_constant", edited)
+    monkeypatch.setattr(oracle, "oracle_product", lambda w, v: SimpleNamespace(coeff=lambda u: edited(w, v, u)))
+
+
 def test_verify_sweep_mismatch_exits_3(capsys, monkeypatch):
     from schubertcalc import oracle
 
@@ -337,20 +386,85 @@ def test_verify_sweep_mismatch_exits_3(capsys, monkeypatch):
         return value + Polynomial.one(2) if (w.length, v.length, u.length) == (0, 0, 3) else value
 
     monkeypatch.setattr(oracle, "structure_constant", off_by_one_at_the_top)
-    code, out, _ = run(capsys, "verify", "--group", "A2", "--suite", "sweep")
-    assert code == 3
-    assert [line for line in out.splitlines() if "MISMATCH at" in line] == [
-        "  MISMATCH at (123, 123, 321): recurrence=1 oracle=0"
+    assert verify_both_outputs(capsys, "sweep") == (3, [
+        "sweep A2: 216 triples, 1 mismatches, max |coeff| 1, # ms",
+        "  MISMATCH at (123, 123, 321): recurrence=1 oracle=0",
+    ], sweep_payload(mismatches=[{"w": "123", "v": "123", "u": "321", "recurrence": "1", "oracle": "0"}]))
+
+
+def test_verify_ordinary_positivity_violation_output(capsys, monkeypatch):
+    # c_{e,e}^e = 1 read as a1: an ordinary constant of nonzero degree
+    agreeing_engines(monkeypatch, lambda w, v, u, c: Polynomial.variable(2, 1) if u.length == 0 else c)
+    assert verify_both_outputs(capsys, "sweep") == (4, [
+        "sweep A2: 216 triples, 0 mismatches, max |coeff| 1, # ms",
+        "  ordinary positivity violations: 1",
+    ], sweep_payload(ordinary_violations=[{"w": "123", "v": "123", "u": "123", "value": "a1"}]))
+
+
+def test_verify_coefficient_positivity_violation_output(capsys, monkeypatch):
+    # c_{s,s}^s = S_s|_s negated at both simple reflections s
+    agreeing_engines(monkeypatch, lambda w, v, u, c: -c if (w.length, v.length, u.length) == (1, 1, 1) else c)
+    assert verify_both_outputs(capsys, "sweep") == (4, [
+        "sweep A2: 216 triples, 0 mismatches, max |coeff| 1, # ms",
+        "  coefficient positivity violations: 2",
+    ], sweep_payload(coeff_violations=[
+        {"w": "213", "v": "213", "u": "213", "value": "-a1"},
+        {"w": "132", "v": "132", "u": "132", "value": "-a2"},
+    ]))
+
+
+def cover_payload(violations):
+    return {"cover": {"group": "A2", "covers_checked": 8, "words_checked": 10, "violations": violations}}
+
+
+def test_verify_cover_ratio_violation_output(capsys, monkeypatch):
+    from schubertcalc import oracle
+
+    real = oracle.bottom_restriction
+    monkeypatch.setattr(oracle, "bottom_restriction", lambda w: real(w) * 2 if w.length == 3 else real(w))
+    violations = ["cover ratio fails at 312 -> 321", "cover ratio fails at 231 -> 321"]
+    assert verify_both_outputs(capsys, "cover") == (4, [
+        "cover sweep A2: 8 covers, 10 reduced words, 2 violations, # ms",
+        *(f"  {v}" for v in violations),
+    ], cover_payload(violations))
+
+
+def test_verify_removable_letter_violation_output(capsys, monkeypatch):
+    from schubertcalc import oracle
+
+    # 121 is not a word of 312: no letter of it can be removed to leave 213 or 132
+    real = oracle.all_reduced_words
+    monkeypatch.setattr(oracle, "all_reduced_words", lambda w: [(1, 2, 1)] if w.describe() == "312" else real(w))
+    violations = [
+        "removable letter count 0 for word (1, 2, 1) of 312 over 213",
+        "removable letter count 0 for word (1, 2, 1) of 312 over 132",
     ]
+    assert verify_both_outputs(capsys, "cover") == (4, [
+        "cover sweep A2: 8 covers, 10 reduced words, 2 violations, # ms",
+        *(f"  {v}" for v in violations),
+    ], cover_payload(violations))
 
 
-def test_verify_props_violation_exits_4(capsys, monkeypatch):
-    import schubertcalc.gkm
+def test_verify_props_chern_and_leibniz_violations_output(capsys, monkeypatch):
+    from schubertcalc import billey, gkm
 
-    monkeypatch.setattr(schubertcalc.gkm, "is_gkm", lambda cls: False)
-    code, out, _ = run(capsys, "verify", "--group", "A2", "--suite", "props")
-    assert code == 4
-    assert "GKM fails for the Schubert class of 123" in out
+    real_chern, real_leibniz = gkm.chern_times_schubert, gkm.leibniz_check
+
+    def chern(rs, alpha, w):  # c_{-alpha_1} S_e answered with c_{-alpha_1} S_{w0}
+        wrong = w is rs.identity and alpha == rs.simple_root(1)
+        return real_chern(rs, alpha, rs.longest_element() if wrong else w)
+
+    def leibniz(alpha, a, b):  # fails once: alpha_2 on S_e * S_e
+        unit = billey.schubert_class(a.rs.identity)
+        return not (alpha == a.rs.simple_root(2) and a is b is unit) and real_leibniz(alpha, a, b)
+
+    monkeypatch.setattr(gkm, "chern_times_schubert", chern)
+    monkeypatch.setattr(gkm, "leibniz_check", leibniz)
+    violations = ["Chern expansion mismatch at alpha_1, 123", "Leibniz fails at alpha_2, (123, 123)"]
+    assert verify_both_outputs(capsys, "props") == (4, [
+        "props A2: 2 violations",
+        *(f"  {v}" for v in violations),
+    ], {"props": {"violations": violations}})
 
 
 def test_invariant_exit_code(capsys, monkeypatch):

@@ -126,6 +126,8 @@ def test_chern_class_values(s3):
     # w0 flips the diagram: w0 . alpha_1 = -alpha_2
     assert c.value(s3.longest_element()) == Polynomial.variable(2, 2)
     assert is_gkm(c)
+    with pytest.raises(ValueError, match=r"\(1, 1\) is not a simple root of this system"):
+        chern_class(s3, (1, 1))  # alpha_1 + alpha_2
 
 
 # -- divided differences ------------------------------------------------------------
@@ -369,3 +371,17 @@ def test_class_from_json_refuses_a_repeated_or_unknown_element(s3, label):
     data["values"][-1]["element"] = label  # "213" is already in the dump
     with pytest.raises(ValueError, match=repr(label)):
         class_from_json(s3, data)
+
+
+def test_class_from_json_refuses_a_dump_short_of_the_group(s3):
+    data = class_to_json(schubert_class(s3.identity))
+    del data["values"][-1]
+    with pytest.raises(ValueError, match="class dump does not cover the whole group"):
+        class_from_json(s3, data)
+
+
+def test_class_with_a_value_per_element_too_few_or_too_many_is_refused(s3):
+    one = Polynomial.one(2)
+    for count in (s3.order() - 1, s3.order() + 1):
+        with pytest.raises(ValueError, match="value list does not cover the whole group"):
+            GkmClass(s3, [one] * count)

@@ -65,6 +65,17 @@ def test_basic_identities():
     assert p * Polynomial.one(2) == p
 
 
+def test_constants_hash_like_the_ints_they_equal():
+    """``Polynomial.integer(2, 3) == 3``, so it finds 3 in a set or a dict, and 3 finds it."""
+    three = Polynomial.integer(2, 3)
+    assert three == 3 and hash(three) == hash(3)
+    assert 3 in {three}
+    assert three in {3}
+    assert {3: "x"}.get(three) == "x"
+    assert 0 in {Polynomial.zero(2)}
+    assert Polynomial.variable(2, 1) not in {1, 0}
+
+
 def in_y(p: Polynomial):
     """``sym(p)`` rewritten by a_i = y_{i+1} - y_i."""
     y = sympy.symbols([f"y{i + 1}" for i in range(p.rank + 1)])
@@ -285,6 +296,8 @@ def test_render_known_values():
     assert render(Polynomial.zero(2)) == "0"
     assert render(Polynomial.zero(2), "y") == "0"
     assert render(Polynomial.integer(2, -3)) == "-3"
+    with pytest.raises(ValueError, match="unknown basis 'z'"):
+        render(a1, "z")
 
 
 def test_render_roundtrip_through_sympy_random():
@@ -334,6 +347,10 @@ def test_degrees():
 def test_rank_mismatch_is_rejected():
     with pytest.raises(ValueError):
         Polynomial.variable(2, 1) + Polynomial.variable(3, 1)
+    with pytest.raises(ValueError, match="rank mismatch between element and polynomial"):
+        act(named("A3").simple_reflection(1), Polynomial.variable(2, 1))
+    with pytest.raises(IndexError, match="variable index 3 out of range 1..2"):
+        Polynomial.variable(2, 3)
 
 
 # -- Hypothesis: the packed ring against sympy, ranks 1-8 ----------------------

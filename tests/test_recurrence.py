@@ -516,6 +516,14 @@ def test_ordinary_recurrence_check_rejects_a_non_integer_oracle_value(s3, monkey
         ordinary_recurrence_check(e, e, perm(s3, "132"), 1)
 
 
+def test_ordinary_recurrence_check_refuses_a_length_mismatch_and_a_non_ascent(s3):
+    e, s1 = s3.identity, s3.simple_reflection(1)
+    with pytest.raises(DimensionMismatchError, match="term lengths do not match"):
+        ordinary_recurrence_check(e, e, e, 1)  # 0 + 0 + 0 + 2 != 3
+    with pytest.raises(ValueError, match=r"^r_index=1 is not an ascent of <213>$"):
+        ordinary_recurrence_check(s1, e, e, 1)
+
+
 def test_ordinary_recurrence_check_exhaustive(s3, s4):
     """The ordinary cover recurrence holds for the engine's triple integrals too.
 

@@ -369,6 +369,32 @@ def test_word_to_element_refuses_letters_outside_the_rank(label):
             word_to_element(rs, [1, letter])
 
 
+
+@pytest.mark.parametrize("word,letter", [([1.9, True], "1.9"), (["1"], "'1'"), ([2, True], "True")])
+def test_word_to_element_refuses_a_letter_that_is_not_an_int(s4, word, letter):
+    """A float, bool or string letter is refused, not truncated (1.9 or True would read as s1)."""
+    with pytest.raises(ValueError, match=f"^word letter {letter} is not an int$"):
+        word_to_element(s4, word)
+
+
+@pytest.mark.parametrize("oneline,entry", [((2.0, 4, 1, 3), "2.0"), ((True, 2, 3, 4), "True")])
+def test_perm_to_element_refuses_an_entry_that_is_not_an_int(s4, oneline, entry):
+    with pytest.raises(ValueError, match=f"^permutation entry {entry} is not an int$"):
+        perm_to_element(s4, oneline)
+
+
+def test_perm_to_element_refuses_a_non_permutation_and_a_group_outside_type_a(s4, b2):
+    with pytest.raises(ValueError, match=r"^\(1, 1, 2, 3\) is not a permutation of 1..4$"):
+        perm_to_element(s4, (1, 1, 2, 3))
+    with pytest.raises(UnknownTypeError, match="one-line notation requires a type A root system"):
+        perm_to_element(b2, (2, 1, 3))
+
+
+def test_one_line_outside_type_a_is_refused(b2):
+    with pytest.raises(UnknownTypeError, match="one-line notation requires a type A root system"):
+        b2.simple_reflection(1).one_line()
+
+
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
 def test_word_to_element_of_a_non_reduced_word_is_its_reduction(label):
     rs = named(label)
