@@ -18,79 +18,13 @@ Quick start::
     print(render(structure_constant(w, v, w), "y"))   # 'y2 - y1'
 """
 
-from .errors import (
-    DimensionMismatchError,
-    EngineMismatchError,
-    GroupTooLargeError,
-    MixedRootSystemsError,
-    NonFiniteTypeError,
-    NonzeroResidualError,
-    NotDivisibleError,
-    SchubertError,
-    UnknownTypeError,
-)
-from .rootsys import (
-    RootSystem,
-    WeylElement,
-    all_reduced_words,
-    bruhat_leq,
-    build,
-    coeff_pairing,
-    covers,
-    named,
-    perm_to_element,
-    word_to_element,
-)
-from .polyring import (
-    Polynomial,
-    act,
-    divide_exact,
-    is_divisible,
-    poly_from_json,
-    poly_to_json,
-    render,
-)
-from .gkm import (
-    GkmClass,
-    SchubertExpansion,
-    chern_class,
-    chern_times_schubert,
-    class_from_json,
-    class_to_json,
-    gkm_violation,
-    is_gkm,
-    left_dd,
-    leibniz_check,
-    right_act,
-    right_dd,
-)
-from .billey import (
-    base_constant,
-    bottom_factors,
-    bottom_restriction,
-    restrict,
-    restrict_all,
-    schubert_class,
-)
-from .recurrence import (
-    ConstantKey,
-    TraceNode,
-    format_trace,
-    product_expansion,
-    replay_trace,
-    structure_constant,
-    trace_constant,
-    triple_constant,
-)
-from .oracle import (
-    CoverSweepReport,
-    SweepReport,
-    expand_in_schubert,
-    lemma_cover_sweep,
-    oracle_constant,
-    oracle_product,
-    ordinary_recurrence_check,
-    verify_sweep,
-)
+# each module's ``__all__`` is the one declaration of its public names
+from .errors import *
+from .rootsys import *
+from .polyring import *
+from .gkm import *
+from .billey import *
+from .recurrence import *
+from .oracle import *
 
 __version__ = "0.1.0"

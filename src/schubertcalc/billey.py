@@ -139,7 +139,7 @@ def bottom_factors(w: WeylElement) -> list[Root]:
     """
     rs = w.rs
     x = w.inverse().x  # w(rho); beta is a factor iff <w(rho), beta_check> < 0
-    return [b for b in rs.positive_roots if sum(d * c for d, c in zip(rs.coroot_coords(b), x)) < 0]
+    return [b for b in rs.positive_roots if sum(d * c for d, c in zip(rs._coroots[b], x)) < 0]
 
 
 @_per_group("bottom")

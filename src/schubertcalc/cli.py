@@ -35,7 +35,9 @@ from .errors import (
     UnknownTypeError,
 )
 from .polyring import Polynomial, poly_from_json, poly_to_json, render
-from .rootsys import RootSystem, WeylElement, named, build, perm_to_element, word_to_element
+from .rootsys import (
+    RootSystem, WeylElement, _canonical_key, build, named, perm_to_element, word_to_element,
+)
 
 __all__ = ["main"]
 
@@ -76,7 +78,7 @@ def parse_element(rs: RootSystem, text: str) -> WeylElement:
     if s in ("e", "id", "identity"):
         return rs.identity
     n = rs.rank + 1
-    if s.isdigit() and rs.is_type_a and len(s) == n and n <= 9:
+    if s.isdigit() and rs.one_line_labels and len(s) == n:
         digits = [int(c) for c in s]
         if sorted(digits) == list(range(1, n + 1)):
             return perm_to_element(rs, digits)
@@ -244,7 +246,7 @@ def _cmd_product(args, rs, basis, w, v) -> int:
     if args.engine == "both":
         other = oracle.oracle_product(w, v)
         # name the first element, in canonical order, where the two differ
-        for u in sorted(exp.coeffs.keys() | other.coeffs.keys(), key=rs.element_index):
+        for u in sorted(exp.coeffs.keys() | other.coeffs.keys(), key=_canonical_key):
             if exp.coeff(u) != other.coeff(u):
                 raise EngineMismatchError(w, v, u, exp.coeff(u), other.coeff(u))
     text = "\n".join(f"S[{u.describe()}] : {render(c, basis)}" for u, c in exp.items())
@@ -312,7 +314,7 @@ def _cmd_verify(args, rs, basis) -> int:
     if args.suite in ("props", "all"):
         bad = _run_props(rs)
         payload["props"] = {"violations": bad}
-        lines.append(f"props {rs.type_label or rs.rank}: {len(bad)} violations")
+        lines.append(f"props {oracle._group_name(rs)}: {len(bad)} violations")
         lines += [f"  {b}" for b in bad]
         invariant_bad = invariant_bad or bool(bad)
     _emit(args, "\n".join(lines), **payload)

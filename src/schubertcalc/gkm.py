@@ -26,8 +26,8 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import MixedRootSystemsError
-from .polyring import Polynomial, act, divide_exact, is_divisible, poly_from_json, poly_to_json
-from .rootsys import Root, RootSystem, WeylElement, _chevalley_covers
+from .polyring import Polynomial, act, divide_exact, is_divisible
+from .rootsys import Root, RootSystem, WeylElement, _canonical_key, _chevalley_covers
 
 __all__ = [
     "GkmClass",
@@ -40,8 +40,6 @@ __all__ = [
     "right_dd",
     "chern_times_schubert",
     "leibniz_check",
-    "class_to_json",
-    "class_from_json",
 ]
 
 _zero = cache(Polynomial.zero)  # one shared zero per rank; polynomials are immutable
@@ -153,7 +151,7 @@ class SchubertExpansion:
         return self.coeffs.get(u, _zero(self.rs.rank))
 
     def items(self) -> list[tuple[WeylElement, Polynomial]]:
-        return sorted(self.coeffs.items(), key=lambda t: self.rs.element_index(t[0]))
+        return sorted(self.coeffs.items(), key=lambda t: _canonical_key(t[0]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -279,36 +277,3 @@ def leibniz_check(alpha: Root, p: GkmClass, q: GkmClass) -> bool:
     lhs = right_dd(alpha, p * q)
     rhs = (p - c * dp) * dq + dp * q
     return lhs == rhs
-
-
-# -- JSON --------------------------------------------------------------------
-
-
-def class_to_json(p: GkmClass) -> dict:
-    """Class dump ordered by the canonical enumeration."""
-    rs = p.rs
-    return {
-        "group": rs.type_label or f"rank{rs.rank}",
-        "values": [
-            {"element": w.describe(), "poly": poly_to_json(p.value(w))}
-            for w in rs.elements()
-        ],
-    }
-
-
-def class_from_json(rs: RootSystem, data: dict) -> GkmClass:
-    values = data.get("values") if isinstance(data, dict) else None
-    if not isinstance(values, list):
-        raise ValueError("class dump must be a dict with a list 'values'")
-    if len(values) != rs.order():
-        raise ValueError("class dump does not cover the whole group")
-    by_label = {w.describe(): w for w in rs.elements()}
-    out = [Polynomial.zero(rs.rank)] * rs.order()
-    for item in values:
-        if not isinstance(item, dict) or not {"element", "poly"} <= item.keys():
-            raise ValueError(f"class dump item {item!r} needs an 'element' and a 'poly'")
-        w = by_label.pop(item["element"], None)
-        if w is None:
-            raise ValueError(f"class dump names {item['element']!r} twice or outside the group")
-        out[rs.element_index(w)] = poly_from_json(item["poly"], rs.rank)
-    return GkmClass(rs, out)

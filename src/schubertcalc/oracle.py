@@ -72,6 +72,11 @@ def _check_sweep_cap(rs: RootSystem, force: bool) -> None:
         )
 
 
+def _group_name(rs: RootSystem) -> str:
+    """The name a report gives its group: the type label, else ``rank<n>``."""
+    return rs.type_label or f"rank{rs.rank}"
+
+
 def expand_in_schubert(p: GkmClass) -> SchubertExpansion:
     """Expand a class in the Schubert basis by triangular elimination.
 
@@ -238,7 +243,7 @@ def verify_sweep(rs: RootSystem, ws=None, vs=None, *, force: bool = False) -> Sw
     elements = rs.elements()
     ws = list(ws) if ws is not None else elements
     vs = list(vs) if vs is not None else elements
-    report = SweepReport(rs.type_label or f"rank{rs.rank}")
+    report = SweepReport(_group_name(rs))
 
     def where(w, v, u, **values):
         return {"w": w.describe(), "v": v.describe(), "u": u.describe(), **values}
@@ -308,7 +313,7 @@ def lemma_cover_sweep(rs: RootSystem) -> CoverSweepReport:
       * for every reduced word of ``w'``, exactly one letter can be
         removed to leave a reduced word for ``w``.
     """
-    report = CoverSweepReport(rs.type_label or f"rank{rs.rank}")
+    report = CoverSweepReport(_group_name(rs))
     t0 = time.perf_counter()
     for w in rs.elements():
         for wp, beta in covers(w):

@@ -274,12 +274,11 @@ def format_trace(node: TraceNode, basis: str = "alpha", indent: str = "") -> lis
     In type A the chosen reflection is marked by a bar in the one-line
     words, e.g. ``c_{1|324,2|143}^{2|413} -> recurrence r=(12)``.
     """
-    rs = node.key.w.rs
-    type_a = rs.is_type_a and rs.rank + 1 <= 9
-    head = _key_str(node.key, node.chosen_r if type_a else None)
+    one_line = node.key.w.rs.one_line_labels
+    head = _key_str(node.key, node.chosen_r if one_line else None)
     if node.chosen_r is not None:
         rtxt = (
-            f"r=({node.chosen_r}{node.chosen_r + 1})" if type_a else f"r=s{node.chosen_r}"
+            f"r=({node.chosen_r}{node.chosen_r + 1})" if one_line else f"r=s{node.chosen_r}"
         )
         line = f"{indent}{head} -> {node.rule} {rtxt} = {render(node.value, basis)}"
     else:

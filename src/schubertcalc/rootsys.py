@@ -213,8 +213,8 @@ class WeylElement:
         return self._oneline
 
     def describe(self) -> str:
-        """Compact human-readable form: one-line word in type A, else a word in s_i."""
-        if self.rs.is_type_a and self.rs.rank + 1 <= 9:
+        """Compact human-readable form: one-line word up to A8, else a word in s_i."""
+        if self.rs.one_line_labels:
             return "".join(str(d) for d in self.one_line())
         if self.length == 0:
             return "e"
@@ -230,6 +230,11 @@ def _first_negative(x: tuple[int, ...]) -> int:
         if c < 0:
             return k
     raise ValueError("the identity has no right descent")
+
+
+def _canonical_key(w: WeylElement) -> tuple[int, Matrix]:
+    """The canonical enumeration order, length then matrix; it needs no enumeration."""
+    return w.length, w.mat
 
 
 def _same_group(w: WeylElement, *others: WeylElement) -> "RootSystem":
@@ -266,6 +271,8 @@ class RootSystem:
         self.type_label = type_label
         self._validate_cartan()
         self.is_type_a = cartan == _cartan_a(self.rank)
+        # elements display and parse as one-line strings of one digit per position
+        self.one_line_labels = self.is_type_a and self.rank + 1 <= 9
         self.simple_roots = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
         # alpha_k in fundamental-weight coordinates is column k of the Cartan matrix
         self._alpha_weights = [tuple(row[k] for row in cartan) for k in range(self.rank)]
@@ -372,9 +379,6 @@ class RootSystem:
             self._refl_elements[idx] = w
         return w
 
-    def coroot_coords(self, beta: Root) -> tuple[int, ...]:
-        return self._coroots[beta]
-
     def elements(self) -> list[WeylElement]:
         """All group elements, by length then matrix key; identity first, w_0 last."""
         cached = self.caches.get("elements")
@@ -388,7 +392,7 @@ class RootSystem:
             while level:
                 # ascents of one length all land in the next; a dict keeps them once
                 nxt = {w._step(k): None for w in level for k, c in enumerate(w.x) if c > 0}
-                level = sorted(nxt, key=lambda w: w.mat)
+                level = sorted(nxt, key=_canonical_key)
                 out.extend(level)
             # the index goes first: a reader that finds "elements" finds the index too
             self.caches["element_index"] = {w: k for k, w in enumerate(out)}

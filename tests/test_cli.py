@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from schubertcalc import (
     SchubertExpansion,
     poly_from_json,
     product_expansion,
+    word_to_element,
 )
 from schubertcalc.cli import main, parse_element, load_group
 
@@ -219,6 +221,20 @@ def test_verify_force_overrides_the_cap_for_cover(capsys, monkeypatch):
     assert code == 0 and out.startswith("cover sweep A2: ") and "0 violations" in out
 
 
+def test_verify_names_a_group_without_a_label_alike_on_every_line(tmp_path, capsys):
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]]}))
+    code, out, _ = run(capsys, "verify", "--group", str(path))
+    assert code == 0
+    assert re.sub(r"\d+ ms", "… ms", out).splitlines() == [
+        "sweep rank2: 216 triples, 0 mismatches, max |coeff| 1, … ms",
+        "cover sweep rank2: 8 covers, 10 reduced words, 0 violations, … ms",
+        "props rank2: 0 violations",
+    ]
+    code, out, _ = run(capsys, "verify", "--group", str(path), "--suite", "props", "--output", "json")
+    assert (code, json.loads(out)) == (0, {"props": {"violations": []}})
+
+
 # -- element parsing ---------------------------------------------------------------
 
 
@@ -232,6 +248,34 @@ def test_parse_element_forms():
     b2 = load_group("B2")
     assert parse_element(b2, "s1 s2 s1").length == 3
     assert parse_element(b2, "1 2 1 2").length == 4
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D3", "D4", "G2", "F4"])
+def test_every_element_label_is_accepted_back_as_input(label):
+    rs = load_group(label)
+    for w in rs.elements():
+        assert parse_element(rs, w.describe()) is w
+
+
+@pytest.mark.parametrize("group", ["A8", "B8", "E8", "A9"])
+def test_seeded_element_labels_are_accepted_back_in_large_groups(tmp_path, group):
+    """E8 and A9 come from Cartan files; A9 is type A past the one-line limit."""
+    from conftest import e8_cartan
+
+    cartan = {
+        "E8": e8_cartan(),
+        "A9": [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(9)] for i in range(9)],
+    }
+    if group in cartan:
+        path = tmp_path / f"{group}.json"
+        path.write_text(json.dumps({"cartan": cartan[group]}))
+        group = str(path)
+    rs = load_group(group)
+    rng = random.Random(20)
+    for _ in range(200):
+        word = [rng.randint(1, rs.rank) for _ in range(rng.randint(0, 40))]
+        w = word_to_element(rs, word)
+        assert parse_element(rs, w.describe()) is w
 
 
 def test_group_from_cartan_file(tmp_path, capsys):

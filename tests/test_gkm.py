@@ -9,10 +9,9 @@ from schubertcalc import (
     NotDivisibleError,
     Polynomial,
     act,
+    build,
     chern_class,
     chern_times_schubert,
-    class_from_json,
-    class_to_json,
     divide_exact,
     expand_in_schubert,
     gkm,
@@ -24,6 +23,7 @@ from schubertcalc import (
     right_act,
     right_dd,
     schubert_class,
+    word_to_element,
 )
 
 from conftest import perm
@@ -290,6 +290,23 @@ def test_chern_times_schubert_vs_oracle(s4, b2, g2):
                 assert closed == direct, (rs.type_label, i, w.describe())
 
 
+def test_expansion_lists_its_terms_in_enumeration_order(s4, b2, g2):
+    for rs in (s4, b2, g2, named("B3")):
+        for i in range(1, rs.rank + 1):
+            for w in rs.elements():
+                exp = chern_times_schubert(rs, rs.simple_root(i), w)
+                assert [u for u, _ in exp.items()] == sorted(exp.coeffs, key=rs.element_index)
+
+
+def test_expansion_lists_its_terms_without_enumerating_the_group():
+    from conftest import e8_cartan
+
+    rs = build(e8_cartan(), type_label="E8")
+    exp = chern_times_schubert(rs, rs.simple_root(4), word_to_element(rs, [1, 3, 4, 2]))
+    assert [u.length for u, _ in exp.items()] == [4, 5, 5, 5]
+    assert "elements" not in rs.caches
+
+
 # -- Leibniz -----------------------------------------------------------------------
 
 
@@ -315,22 +332,6 @@ def test_leibniz_on_random_classes_b2(b2):
             assert leibniz_check(b2.simple_root(i), p, q)
 
 
-# -- serialization -------------------------------------------------------------------
-
-
-def test_class_json_roundtrip(s3, b2):
-    import json
-
-    for rs in (s3, b2):
-        for w in rs.elements():
-            cls = schubert_class(w)
-            data = json.loads(json.dumps(class_to_json(cls)))
-            assert class_from_json(rs, data) == cls
-            assert [item["element"] for item in data["values"]] == [
-                x.describe() for x in rs.elements()
-            ]
-
-
 def test_homogeneity_tags(s3):
     for w in s3.elements():
         cls = schubert_class(w)
@@ -342,42 +343,6 @@ def test_right_dd_kills_constant_classes(s3):
     const = GkmClass(s3, [Polynomial.integer(2, 4)] * s3.order())
     for i in (1, 2):
         assert right_dd(s3.simple_root(i), const).is_zero()
-
-
-@pytest.mark.parametrize("key", ["element", "poly"])
-def test_class_from_json_refuses_an_item_without_a_key(s3, key):
-    data = class_to_json(schubert_class(s3.identity))
-    del data["values"][0][key]
-    with pytest.raises(ValueError, match="needs an 'element' and a 'poly'"):
-        class_from_json(s3, data)
-
-
-@pytest.mark.parametrize("data", [{}, {"values": 5}, {"values": None}, []])
-def test_class_from_json_refuses_a_dump_without_a_values_list(s3, data):
-    with pytest.raises(ValueError, match="class dump must be a dict with a list 'values'"):
-        class_from_json(s3, data)
-
-
-def test_class_from_json_refuses_a_float_coefficient(s3):
-    data = class_to_json(schubert_class(s3.identity))
-    data["values"][0]["poly"] = [{"coeff": 1.5, "exp": [0, 0]}]
-    with pytest.raises(ValueError, match="1.5"):
-        class_from_json(s3, data)
-
-
-@pytest.mark.parametrize("label", ["213", "999"])
-def test_class_from_json_refuses_a_repeated_or_unknown_element(s3, label):
-    data = class_to_json(schubert_class(s3.identity))
-    data["values"][-1]["element"] = label  # "213" is already in the dump
-    with pytest.raises(ValueError, match=repr(label)):
-        class_from_json(s3, data)
-
-
-def test_class_from_json_refuses_a_dump_short_of_the_group(s3):
-    data = class_to_json(schubert_class(s3.identity))
-    del data["values"][-1]
-    with pytest.raises(ValueError, match="class dump does not cover the whole group"):
-        class_from_json(s3, data)
 
 
 def test_class_with_a_value_per_element_too_few_or_too_many_is_refused(s3):
