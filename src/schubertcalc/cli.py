@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import billey, gkm, oracle, recurrence
@@ -165,15 +163,20 @@ def _result_cache_path(key: str, engine: str) -> Path | None:
     """Optional persistent result cache, enabled by SCHUBERTCALC_CACHE_DIR.
 
     Caches are in-memory by default; this only stores final constants.
+    The cache's own imports load only once it is enabled.
     """
     root = os.environ.get("SCHUBERTCALC_CACHE_DIR")
     if not root or engine == "both":
         return None
+    import hashlib
+
     digest = hashlib.sha256(key.encode()).hexdigest()[:32]
     return Path(root) / f"constant-{digest}.json"
 
 
 def _entry_digest(key: str, value: list) -> str:
+    import hashlib
+
     return hashlib.sha256(json.dumps([key, value]).encode()).hexdigest()
 
 
@@ -196,6 +199,8 @@ def _cache_read(path: Path, key: str, rank: int) -> Polynomial | None:
 
 def _cache_write(path: Path, key: str, value: Polynomial) -> None:
     """Write an entry through a temporary file, so readers never see half of one."""
+    import tempfile
+
     data = poly_to_json(value)
     entry = {"format": CACHE_FORMAT, "key": key, "value": data, "sha256": _entry_digest(key, data)}
     tmp = None

@@ -61,6 +61,10 @@ __all__ = [
 ]
 
 ORACLE_SWEEP_CAP = 120  # largest |W| swept by default
+# Largest |W| the oracle expands in.  Its Schubert classes take a restriction
+# column at every element of W: A5 (720) answers in about 4 s and 370 MB,
+# while F4 (1152) runs out of a 3.5 GB address space.
+ORACLE_MAX_GROUP = 720
 
 
 def _check_sweep_cap(rs: RootSystem, force: bool) -> None:
@@ -134,8 +138,17 @@ def _support_by_value(w: WeylElement) -> list[tuple[Polynomial, list[int]]]:
 
 
 def oracle_product(w: WeylElement, v: WeylElement) -> SchubertExpansion:
-    """The Schubert expansion of ``S_w * S_v``, cached once per unordered pair."""
-    cache = w.rs.cache("oracle_products")
+    """The Schubert expansion of ``S_w * S_v``, cached once per unordered pair.
+
+    Refuses a group past ``ORACLE_MAX_GROUP`` before it builds any class.
+    """
+    rs = w.rs
+    if rs.order() > ORACLE_MAX_GROUP:
+        raise GroupTooLargeError(
+            f"|W| = {rs.order()} exceeds the oracle's limit {ORACLE_MAX_GROUP}; "
+            "use the recurrence engine"
+        )
+    cache = rs.cache("oracle_products")
     key = (w, v) if (w.length, w.x) <= (v.length, v.x) else (v, w)
     got = cache.get(key)
     if got is None:

@@ -12,14 +12,18 @@ fundamental-weight coordinates (Casselman's representation), which gives
 one uniform code path for every finite type: ``w * r_i`` is
 ``x - x_i * alpha_i`` with ``alpha_i`` written in weights (column ``i`` of
 ``A``), ``i`` is a right descent exactly when ``x_i < 0``, and lengths move
-by one with each such step.  The hot walks (Bruhat comparison, the
-recurrence, Billey passes) step on ``x`` this way rather than multiplying
-by one-letter words.  Nothing here needs the whole group: ``w_0``
-is the element with ``x = -rho`` and ``|W|`` comes from the root heights,
-so only :meth:`RootSystem.elements` enumerates.  The matrix of ``w`` on
-the simple-root basis (column ``j`` is ``w(alpha_j)``) is built on first
-use, for the action on roots and the canonical enumeration order (length,
-then matrix key).  Type A additionally gets a
+by one with each such step.  ``alpha_i`` has at most four nonzero weight
+coordinates, and a step touches only those.  The hot walks (Bruhat
+comparison, the recurrence, Billey passes) step on ``x`` this way rather
+than multiplying by one-letter words.  Nothing here needs the whole group:
+``w_0`` is the element with ``x = -rho`` and ``|W|`` comes from the root
+heights, so only :meth:`RootSystem.elements` enumerates.  The matrix of
+``w`` on the simple-root basis (column ``j`` is ``w(alpha_j)``) serves the
+action on roots and the canonical enumeration order (length, then matrix
+key).  The enumeration gives each element it finds its matrix from the
+parent that found it; any other element gets its matrix on first use,
+along a chain of steps.  Either way one step, from ``w`` to ``w * r_i``,
+rebuilds only the entries it changes.  Type A additionally gets a
 conversion layer to one-line permutation notation, with the conventions
 
     alpha_i = y_{i+1} - y_i,        w . y_i = y_{w(i)},
@@ -107,15 +111,17 @@ class WeylElement:
         self._oneline = None
 
     def _step(self, k: int) -> "WeylElement":
-        """``self * r_{k+1}``: ``x - x[k] * alpha_{k+1}``, with alpha in weight coordinates."""
+        """``self * r_{k+1}``: ``x - x[k] * alpha_{k+1}``, with alpha in weight coordinates.
+
+        Only the nonzero entries of ``alpha_{k+1}`` (at most four) are touched.
+        """
         got = self._next[k]
         if got is None:
-            x = self.x
-            c = x[k]
-            got = self.rs._element(
-                tuple(a - c * b for a, b in zip(x, self.rs._alpha_weights[k])),
-                self.length + (1 if c > 0 else -1),
-            )
+            c = self.x[k]
+            y = list(self.x)
+            for j, a in self.rs._alpha_support[k]:
+                y[j] -= c * a
+            got = self.rs._element(tuple(y), self.length + (1 if c > 0 else -1))
             self._next[k] = got
             got._next[k] = self
         return got
@@ -142,9 +148,10 @@ class WeylElement:
     def mat(self) -> Matrix:
         """Integer matrix on the simple-root basis; column ``j`` is ``w(alpha_j)``.
 
-        Built once, from a neighbour ``w * r_i`` that already has its
-        matrix (else down the least right descents), by right
-        multiplication with the matrix of ``r_i``.
+        :meth:`RootSystem.elements` fills it for every element it finds, from
+        the parent that found it.  Otherwise it is built once, from a
+        neighbour ``w * r_i`` that already has its matrix (else down the least
+        right descents), by :meth:`RootSystem._mat_step`.
         """
         if self._mat is None:
             chain = []
@@ -159,11 +166,8 @@ class WeylElement:
                 chain.append((w, k))
                 w = w._step(k)
             m = w._mat
-            cartan = self.rs.cartan
             for u, k in reversed(chain):
-                row_k = cartan[k]
-                m = tuple(tuple(e - a * row[k] for e, a in zip(row, row_k)) for row in m)
-                u._mat = m
+                m = u._mat = self.rs._mat_step(m, k)
         return self._mat
 
     def act(self, root: Root) -> Root:
@@ -276,6 +280,11 @@ class RootSystem:
         self.simple_roots = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
         # alpha_k in fundamental-weight coordinates is column k of the Cartan matrix
         self._alpha_weights = [tuple(row[k] for row in cartan) for k in range(self.rank)]
+        # the nonzero entries (j, a) of that column and of row k, for the sparse steps
+        self._alpha_support = [
+            tuple((j, a) for j, a in enumerate(col) if a) for col in self._alpha_weights
+        ]
+        self._row_support = [tuple((j, a) for j, a in enumerate(row) if a) for row in cartan]
         self._close_roots()
         self._root_index = {r: k for k, r in enumerate(self.positive_roots)}
         self._order = _weyl_order(self.positive_roots)
@@ -351,6 +360,25 @@ class RootSystem:
         if not 1 <= i <= self.rank:
             raise IndexError(f"simple index {i} out of range 1..{self.rank}")
 
+    def _mat_step(self, m: Matrix, k: int) -> Matrix:
+        """The matrix of ``w * r_{k+1}`` from the matrix ``m`` of ``w``.
+
+        Column ``j`` loses ``A[k][j]`` times column ``k``, so only the rows
+        with a nonzero entry in column ``k`` change, and in them only the
+        columns where row ``k`` of ``A`` is nonzero.
+        """
+        support = self._row_support[k]
+        out = []
+        for row in m:
+            c = row[k]
+            if c:
+                row = list(row)
+                for j, a in support:
+                    row[j] -= c * a
+                row = tuple(row)
+            out.append(row)
+        return tuple(out)
+
     def simple_reflection(self, i: int) -> WeylElement:
         self._check_index(i)
         return self._simple_refl[i - 1]
@@ -390,8 +418,16 @@ class RootSystem:
             out = [self.identity]
             level = [self.identity]
             while level:
-                # ascents of one length all land in the next; a dict keeps them once
-                nxt = {w._step(k): None for w in level for k, c in enumerate(w.x) if c > 0}
+                # ascents of one length all land in the next; a dict keeps them
+                # once, each with its matrix from the parent that found it
+                nxt = {}
+                for w in level:
+                    for k, c in enumerate(w.x):
+                        if c > 0:
+                            u = w._step(k)
+                            nxt[u] = None
+                            if u._mat is None:
+                                u._mat = self._mat_step(w._mat, k)
                 level = sorted(nxt, key=_canonical_key)
                 out.extend(level)
             # the index goes first: a reader that finds "elements" finds the index too

@@ -42,6 +42,16 @@ def test_startup_leaves_dataclasses_and_inspect_unloaded():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_disk_cache_imports_load_only_with_the_cache():
+    """Without SCHUBERTCALC_CACHE_DIR, importing the CLI loads neither ``hashlib`` nor ``tempfile``."""
+    src = os.path.dirname(os.path.dirname(schubertcalc.__file__))
+    code = "import sys, schubertcalc.cli; print(sorted({'hashlib', 'tempfile'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    # -S keeps the host's site hooks, which may load either module, out of the result
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_runtime_imports_only_the_standard_library():
     """Every import in the package is relative or names a standard-library module."""
     import ast
@@ -92,6 +102,22 @@ def test_constant_engine_both(capsys):
         "--engine", "both",
     )
     assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("constant", "--w", "2134567", "--v", "2134567", "--u", "2134567", "--engine", "oracle"),
+        ("product", "--w", "2134567", "--v", "1324567", "--engine", "both"),
+    ],
+)
+def test_oracle_refuses_a_group_past_its_limit(capsys, argv):
+    # A6 is within MAX_GROUP, but its Schubert classes would not fit in memory
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], "--group", "A6", *argv[1:])
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "error: |W| = 5040 exceeds the oracle's limit 720; use the recurrence engine\n"
 
 
 # -- output schemas --------------------------------------------------------------

@@ -22,6 +22,7 @@ from schubertcalc import (
     lemma_cover_sweep,
     named,
     oracle_constant,
+    oracle_product,
     render,
     right_act,
     schubert_class,
@@ -31,6 +32,17 @@ from schubertcalc import (
 from schubertcalc import oracle as oracle_mod
 
 from conftest import perm
+
+
+def test_oracle_refuses_a_group_past_its_limit_before_building_a_class():
+    rs = named("A6")
+    assert rs.order() > oracle_mod.ORACLE_MAX_GROUP >= named("A5").order()
+    w = rs.simple_reflection(1)
+    for call in (lambda: oracle_product(w, w), lambda: oracle_constant(w, w, w)):
+        with pytest.raises(GroupTooLargeError, match="exceeds the oracle's limit 720"):
+            call()
+    # refused before W was enumerated or any class or restriction column was built
+    assert set(rs.caches) == {"bruhat"}
 
 
 def test_expansion_of_basis_classes(s3, b2):

@@ -563,9 +563,9 @@ def _matrix_of(rs, word):
     return m
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "G2", "C3"])
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "C3", "D4", "F4"])
 def test_canonical_enumeration_order(label):
-    # the order (length, then matrix key) fixes product JSON and class dumps
+    # the order (length, then matrix key) fixes product JSON and expansion listings
     rs = named(label)
     elements = rs.elements()
     key = {w: (w.length, _matrix_of(rs, w.reduced_word())) for w in elements}
@@ -675,3 +675,18 @@ def test_products_inverses_and_matrices_agree(b2, g2):
             assert w.inverse().mat == _matrix_of(rs, w.reduced_word()[::-1])
             for v in elements[:: max(1, len(elements) // 12)]:
                 assert (w * v).mat == _matrix_of(rs, w.reduced_word() + v.reduced_word())
+    # on fresh groups, every matrix is the one enumeration gave from a parent
+    for rs in (named("D4"), named("F4")):
+        elements = rs.elements()
+        assert all(w._mat == _matrix_of(rs, w.reduced_word()) for w in elements)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "D4", "F4"])
+def test_sparse_step_matches_the_dense_formula(label):
+    # w * r_{k+1} has weight x - x[k] * (column k of the Cartan matrix)
+    rs = named(label)
+    n = rs.rank
+    for w in rs.elements():
+        for k in range(n):
+            dense = tuple(w.x[j] - w.x[k] * rs.cartan[j][k] for j in range(n))
+            assert w._step(k).x == dense
