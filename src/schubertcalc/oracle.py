@@ -61,9 +61,9 @@ __all__ = [
 ]
 
 ORACLE_SWEEP_CAP = 120  # largest |W| swept by default
-# Largest |W| the oracle expands in.  Its Schubert classes take a restriction
-# column at every element of W: A5 (720) answers in about 4 s and 370 MB,
-# while F4 (1152) runs out of a 3.5 GB address space.
+# Largest |W| the oracle expands in.  Its Schubert classes read Billey's
+# restriction column at every element of W: one A5 (720) constant takes
+# about 4 s and 370 MB, while F4 (1152) runs out of a 3.5 GB address space.
 ORACLE_MAX_GROUP = 720
 
 
@@ -146,7 +146,7 @@ def oracle_product(w: WeylElement, v: WeylElement) -> SchubertExpansion:
     if rs.order() > ORACLE_MAX_GROUP:
         raise GroupTooLargeError(
             f"|W| = {rs.order()} exceeds the oracle's limit {ORACLE_MAX_GROUP}; "
-            "use the recurrence engine"
+            "its classes would not fit in memory"
         )
     cache = rs.cache("oracle_products")
     key = (w, v) if (w.length, w.x) <= (v.length, v.x) else (v, w)

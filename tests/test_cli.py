@@ -117,7 +117,7 @@ def test_oracle_refuses_a_group_past_its_limit(capsys, argv):
     code, out, err = run(capsys, argv[0], "--group", "A6", *argv[1:])
     assert time.perf_counter() - start < 5
     assert (code, out) == (2, "")
-    assert err == "error: |W| = 5040 exceeds the oracle's limit 720; use the recurrence engine\n"
+    assert err == "error: |W| = 5040 exceeds the oracle's limit 720; its classes would not fit in memory\n"
 
 
 # -- output schemas --------------------------------------------------------------
