@@ -27,7 +27,10 @@ independent check of the table), and without one when the table lacks the
 column (as for :func:`base_constant`), runs a Bruhat-pruned pass instead:
 it keeps only the states ``q <= v``, adds into term dicts it owns in
 place, and carries the prefix's images of the simple roots along the word,
-so it builds no matrix and returns ``S_v|_w`` alone.
+so it builds no matrix and returns ``S_v|_w`` alone.  A letter changes
+only the images that the Cartan matrix's row for it touches, and the pass
+stops after the last letter in ``v``'s support, since no later letter
+moves a state ``q <= v``.
 
 Two special values get their own entry points: the bottom restriction
 ``S_w|_w`` (a product of positive roots, by the closed formula) and the
@@ -78,21 +81,26 @@ def _billey_pass(w: WeylElement, v: WeylElement, word=None) -> Polynomial:
     (``x[k] > 0``) and the targets (``x[k] < 0``) are disjoint, so nothing is
     read after it is written.  ``cols[j]`` is ``prefix . alpha_{j+1}``, and
     ``prefix r_k . alpha_j = cols[j] - A[k][j] cols[k]`` carries it along
-    the word, so no matrix is built.
+    the word, so no matrix is built; only the columns ``j`` with
+    ``A[k][j] != 0`` change.  A letter outside ``v``'s support moves no
+    state ``q <= v``, so the pass stops after the last letter inside it.
     """
     rs = w.rs
     cols = list(rs.simple_roots)
     acc = {rs.identity: Polynomial.one(rs.rank)._t}  # never a target: only read
-    support = set(v.reduced_word())  # a letter outside it moves no state q <= v
-    for i in w.reduced_word() if word is None else word:
+    support = set(v.reduced_word())
+    word = w.reduced_word() if word is None else word
+    end = max((n + 1 for n, i in enumerate(word) if i in support), default=0)
+    for i in word[:end]:
         k = i - 1
-        factor = Polynomial.linear(cols[k])._t
-        moves = [(p._step(k), t) for p, t in acc.items() if p.x[k] > 0] if i in support else ()
-        for q, t in moves:
-            if bruhat_leq(q, v):
-                _mul_into(acc.setdefault(q, {}), t, factor)
-        ck, row = cols[k], rs.cartan[k]
-        cols = [tuple(c - a * b for c, b in zip(col, ck)) if a else col for col, a in zip(cols, row)]
+        ck = cols[k]
+        if i in support:
+            factor = Polynomial.linear(ck)._t
+            for q, t in [(p._step(k), t) for p, t in acc.items() if p.x[k] > 0]:
+                if bruhat_leq(q, v):
+                    _mul_into(acc.setdefault(q, {}), t, factor)
+        for j, a in rs._row_support[k]:
+            cols[j] = [c - a * b for c, b in zip(cols[j], ck)]
     return _checked(rs.rank, acc.get(v, {}))
 
 

@@ -197,16 +197,19 @@ def _cache_read(path: Path, key: str, rank: int) -> Polynomial | None:
         return None
 
 
-def _cache_write(path: Path, key: str, value: Polynomial) -> None:
-    """Write an entry through a temporary file, so readers never see half of one."""
+def _cache_write(path: Path, key: str, data: list) -> None:
+    """Write an entry for the JSON form ``data`` of a value through a temporary file,
+    so readers never see half of one; the directory is made on the first write."""
     import tempfile
 
-    data = poly_to_json(value)
     entry = {"format": CACHE_FORMAT, "key": key, "value": data, "sha256": _entry_digest(key, data)}
     tmp = None
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w") as f:
             f.write(json.dumps(entry))
         os.replace(tmp, path)
@@ -226,20 +229,22 @@ def _cmd_constant(args, rs, basis, w, v, u) -> int:
     value = None
     if cache_path is not None:
         value = _cache_read(cache_path, key, rs.rank)
+    write = value is None and cache_path is not None
     if value is None:
         if args.engine in ("recurrence", "both"):
             value = recurrence.structure_constant(w, v, u)
         else:
             value = oracle.oracle_constant(w, v, u)
-        if cache_path is not None:
-            _cache_write(cache_path, key, value)
+    data = poly_to_json(value)
+    if write:
+        _cache_write(cache_path, key, data)
     if args.engine == "both":
         other = oracle.oracle_constant(w, v, u)
         if other != value:
             raise EngineMismatchError(w, v, u, value, other)
     value_str = render(value, basis)
     _emit(args, value_str, group=rs.type_label, w=w.describe(), v=v.describe(), u=u.describe(),
-          engine=args.engine, value=poly_to_json(value), value_str=value_str)
+          engine=args.engine, value=data, value_str=value_str)
     return 0
 
 

@@ -35,8 +35,12 @@ Each variable carries cohomological degree 2; internally we work with the
 ordinary total degree ("combinatorial degree").
 
 For type A display there is a second coordinate system ``y1..y{N+1}``
-related by ``a_i = y_{i+1} - y_i``; rendering supports both.
-Polynomials are immutable values and every operation is pure.
+related by ``a_i = y_{i+1} - y_i``; rendering supports both.  One linear
+substitution, ``_substitute``, serves both the Weyl action (``act``) and
+the y rewrite.  It substitutes one variable at a time and merges the terms
+after each, building the powers of each image once with ``_mul_into``,
+so a term is expanded by one image at a time rather than by the product of
+all of them.  Polynomials are immutable values and every operation is pure.
 """
 
 from __future__ import annotations
@@ -323,8 +327,10 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms by descending degree, the highest variable deciding ties."""
-        keys = sorted(self._t, key=lambda e: (_degree(e), e), reverse=True)
-        return [(_unpack(e, self.rank), self._t[e]) for e in keys]
+        rank = self.rank
+        rows = [(sum(exp := _unpack(e, rank)), e, exp, c) for e, c in self._t.items()]
+        rows.sort(reverse=True)  # keys are distinct, so no tie reaches exp
+        return [(exp, c) for _, _, exp, c in rows]
 
 
 # -- Weyl action -------------------------------------------------------------
@@ -410,19 +416,39 @@ def is_divisible(p: Polynomial, d: Polynomial | Sequence[int]) -> bool:
 
 
 def _substitute(p: Polynomial, images, rank: int) -> Polynomial:
-    """``p`` with variable ``j`` replaced by the linear form ``images[j]``."""
-    powers: dict[tuple[int, int], Polynomial] = {}  # (j, x) -> images[j] ** x
-    out: dict[int, int] = {}
-    for e, c in p._t.items():
-        image = Polynomial.one(rank)
-        for j, x in enumerate(_unpack(e, p.rank)):
+    """``p`` with variable ``j`` replaced by the linear form ``images[j]``, in ``rank`` variables.
+
+    One variable at a time: the terms are keyed by (the substituted part, in
+    ``rank`` variables, and the rest of ``p``'s key), so the terms that
+    agree on both merge after each variable and the next one expands them
+    once.  The powers of each image are built once, each from the last by
+    ``_mul_into``.  A field that fills its 16 bits sets its guard bit
+    without carrying into the next field, so checking the guard bits after
+    each variable keeps every later key exact.
+    """
+    guard = _guard(rank)
+    terms = {(0, e): c for e, c in p._t.items()}
+    for j, image in enumerate(images):
+        shift = _W * j
+        powers = [{0: 1}]  # powers[x] is the terms of images[j] ** x
+        lin = Polynomial.linear(image)._t
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for (s, e), c in terms.items():
+            x = (e >> shift) & _FIELD
             if x:
-                power = powers.get((j, x))
-                if power is None:
-                    power = powers[j, x] = Polynomial.linear(images[j]) ** x
-                image = image * power
-        _add_terms(out, image._t, c)
-    return _checked(rank, out)
+                while len(powers) <= x:
+                    powers.append(_mul_into({}, powers[-1], lin))
+                e -= x << shift
+                for f, d in powers[x].items():
+                    key = (s + f, e)
+                    out[key] = get(key, 0) + c * d
+            else:
+                out[s, e] = get((s, e), 0) + c
+        if out and reduce(or_, [s for s, _ in out]) & guard:
+            raise OverflowError(f"an exponent exceeds {_MAX_EXP}")
+        terms = out
+    return _checked(rank, {s: c for (s, _), c in terms.items()})
 
 
 def _to_y(p: Polynomial) -> Polynomial:

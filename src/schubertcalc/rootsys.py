@@ -278,11 +278,10 @@ class RootSystem:
         # elements display and parse as one-line strings of one digit per position
         self.one_line_labels = self.is_type_a and self.rank + 1 <= 9
         self.simple_roots = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        # alpha_k in fundamental-weight coordinates is column k of the Cartan matrix
-        self._alpha_weights = [tuple(row[k] for row in cartan) for k in range(self.rank)]
-        # the nonzero entries (j, a) of that column and of row k, for the sparse steps
+        # alpha_k in fundamental-weight coordinates is column k of the Cartan matrix;
+        # the nonzero entries (j, a) of that column and of row k serve the sparse steps
         self._alpha_support = [
-            tuple((j, a) for j, a in enumerate(col) if a) for col in self._alpha_weights
+            tuple((j, row[k]) for j, row in enumerate(cartan) if row[k]) for k in range(self.rank)
         ]
         self._row_support = [tuple((j, a) for j, a in enumerate(row) if a) for row in cartan]
         self._close_roots()
@@ -315,7 +314,8 @@ class RootSystem:
 
     def _close_roots(self):
         # r_k(x) = x - <x, alpha_k_check> alpha_k moves coordinate k alone; on coroot
-        # coordinates the pairing uses column k of the Cartan matrix instead of row k
+        # coordinates the pairing uses column k of the Cartan matrix instead of row k,
+        # and each sum runs over the nonzero entries alone
         info: dict[Root, tuple[tuple[int, ...], tuple[Root, int] | None]] = {
             c: (c, None) for c in self.simple_roots
         }
@@ -324,8 +324,8 @@ class RootSystem:
             new_frontier = []
             for coords in frontier:
                 height = sum(coords)
-                for k, row in enumerate(self.cartan):
-                    c = coords[k] - sum(a * x for a, x in zip(row, coords))
+                for k, row in enumerate(self._row_support):
+                    c = coords[k] - sum([a * coords[j] for j, a in row])
                     # the image is negative only for a multiple of alpha_k, and of
                     # mixed sign if any other coordinate is left
                     if c < 0:
@@ -335,7 +335,7 @@ class RootSystem:
                     img = coords[:k] + (c,) + coords[k + 1:]
                     if img not in info:
                         co = info[coords][0]
-                        d = co[k] - sum(a * x for a, x in zip(self._alpha_weights[k], co))
+                        d = co[k] - sum([a * co[j] for j, a in self._alpha_support[k]])
                         info[img] = (co[:k] + (d,) + co[k + 1:], (coords, k + 1))
                         new_frontier.append(img)
                         if len(info) > MAX_ROOTS:

@@ -6,6 +6,7 @@ shared with the library path.
 """
 
 import itertools
+import random
 import time
 
 import pytest
@@ -26,6 +27,8 @@ from schubertcalc import (
     schubert_class,
     word_to_element,
 )
+
+from schubertcalc.billey import _billey_pass
 
 from conftest import perm
 
@@ -263,3 +266,44 @@ def test_base_constant_builds_no_matrix():
         for v in ((1,), (1, 2, 1), word[: len(word) // 2], word[len(word) // 2:]):
             base_constant(word_to_element(rs, v))
         assert [w for w in rs._pool.values() if w._mat is not None] == [rs.identity], label
+
+
+def _random_reduced_word(w, rng):
+    """A reduced word of ``w``, stripping a seeded choice of right descent at each step."""
+    word = []
+    while w.length:
+        i = rng.choice(w.right_descents())
+        word.append(i)
+        w = w._step(i - 1)
+    return tuple(reversed(word))
+
+
+@pytest.mark.parametrize("label,sample", [("A3", None), ("B3", None), ("C3", None), ("G2", None), ("D4", None), ("F4", 40)])
+def test_base_pass_matches_the_w0_column(label, sample):
+    """``_billey_pass(w0, v)`` stops after the last letter of v's support and
+    carries only the changed columns; it must still equal the table's column at
+    w0, built on a separate fresh group.  Every v, or a seeded sample in F4,
+    whose whole column takes minutes this way."""
+    rs, ref = named(label), named(label)
+    col = restrict_all(ref.longest_element())
+    elements = rs.elements()
+    if sample:
+        elements = [rs.identity] + random.Random(17).sample(elements, sample)
+    for v in elements:
+        expect = col[word_to_element(ref, v.reduced_word())]
+        assert _billey_pass(rs.longest_element(), v) == expect, (label, v)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "D4", "B4"])
+def test_restrict_over_seeded_words_of_w0_matches_the_table(label):
+    """Non-canonical reduced words of w0 put v's last support letter anywhere."""
+    rs = named(label)
+    w0 = rs.longest_element()
+    col = restrict_all(w0)
+    rng = random.Random(len(label) + rs.rank)
+    some = [rs.identity, *rs._simple_refl, *rng.sample(rs.elements(), 6)]
+    for _ in range(4):
+        word = _random_reduced_word(w0, rng)
+        assert word_to_element(rs, word) is w0 and len(word) == w0.length
+        for v in some:
+            assert restrict(v, w0, word=word) == col[v], (label, word, v)

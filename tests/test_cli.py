@@ -728,6 +728,54 @@ def test_cache_entry_with_out_of_range_exponent_is_a_miss(tmp_path, capsys, monk
         assert json.loads(entry.read_text())["value"] == [{"coeff": 1, "exp": [0, 0, 0]}]
 
 
+GOLDEN_A3_ENTRY = (
+    "constant-13f1c41050e7e49d12bf322d4fb882f4.json",
+    '{"format": 2, "key": "[[[2, -1, 0], [-1, 2, -1], [0, -1, 2]], \\"3124\\", \\"4123\\", \\"4123\\", '
+    '\\"recurrence\\"]", "value": [{"coeff": 1, "exp": [0, 0, 2]}, {"coeff": 2, "exp": [0, 1, 1]}, '
+    '{"coeff": 1, "exp": [1, 0, 1]}, {"coeff": 1, "exp": [0, 2, 0]}, {"coeff": 1, "exp": [1, 1, 0]}], '
+    '"sha256": "083f9b6eaac4760605213bbf36b8a556d87916787b2e47ebb35a9bf6cde7e498"}',
+)
+
+
+def test_cache_entry_is_byte_identical_to_the_format_2_golden_entry(tmp_path, capsys, monkeypatch):
+    """Entries written under format 2 by earlier versions must keep hitting:
+    the file name and every byte of the entry are fixed."""
+    import schubertcalc.cli as cli
+
+    assert cli.CACHE_FORMAT == 2
+    monkeypatch.setenv("SCHUBERTCALC_CACHE_DIR", str(tmp_path))
+    argv = ("constant", "--group", "A3", "--w", "3124", "--v", "4123", "--u", "4123")
+    assert run(capsys, *argv) == (0, "y4^2 - y2*y4 - y1*y4 + y1*y2\n", "")
+    entry = _cache_entry(tmp_path)
+    assert (entry.name, entry.read_text()) == GOLDEN_A3_ENTRY
+
+    def explode(*a, **k):
+        raise AssertionError("engine must not run on a cache hit")
+
+    monkeypatch.setattr(cli.recurrence, "structure_constant", explode)
+    assert run(capsys, *argv, "--basis", "alpha") == (0, "a3^2 + 2*a2*a3 + a1*a3 + a2^2 + a1*a2\n", "")
+
+
+def test_nested_cache_dir_is_made_on_the_first_write(tmp_path, capsys, monkeypatch):
+    root = tmp_path / "a" / "b" / "c"
+    monkeypatch.setenv("SCHUBERTCALC_CACHE_DIR", str(root))
+    argv = ("constant", "--group", "A3", "--w", "3124", "--v", "4123", "--u", "4123")
+    assert run(capsys, *argv) == (0, "y4^2 - y2*y4 - y1*y4 + y1*y2\n", "")
+    assert [p.name for p in root.iterdir()] == [GOLDEN_A3_ENTRY[0]]
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)])
+def test_cache_dir_at_or_below_a_regular_file_is_skipped(tmp_path, capsys, monkeypatch, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    monkeypatch.setenv("SCHUBERTCALC_CACHE_DIR", str(blocker.joinpath(*below)))
+    argv = ("constant", "--group", "A3", "--w", "3124", "--v", "4123", "--u", "4123", "--output", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value_str"] == "y4^2 - y2*y4 - y1*y4 + y1*y2"
+    assert blocker.read_text() == "not a directory" and list(tmp_path.iterdir()) == [blocker]
+
+
 def test_parser_built_once_gives_the_output_of_a_fresh_parser(capsys, monkeypatch):
     import schubertcalc.cli as cli
 

@@ -31,7 +31,7 @@ from schubertcalc import (
     poly_to_json,
     render,
 )
-from schubertcalc.polyring import _mul_into
+from schubertcalc.polyring import _degree, _mul_into, _substitute, _unpack
 
 
 def sym(p: Polynomial):
@@ -543,3 +543,100 @@ def test_addmul_past_the_field_limit_raises():
         Polynomial.zero(2).addmul(top, a1)
     with pytest.raises(OverflowError):
         a2.addmul(a1 + a2, top)
+
+
+# -- the substitution against a monomial-by-monomial reference -----------------
+
+
+def ref_substitute(p: Polynomial, images, rank: int) -> Polynomial:
+    """``p`` with ``a_{j+1}`` replaced by the linear form ``images[j]``, in ``rank``
+    variables: each monomial expanded on its own, one factor at a time, on
+    exponent tuples."""
+    out = {}
+    for exp, c in p.terms.items():
+        image = {(0,) * rank: c}
+        for j, x in enumerate(exp):
+            for _ in range(x):
+                nxt = {}
+                for m, d in image.items():
+                    for k, f in enumerate(images[j]):
+                        if f:
+                            key = m[:k] + (m[k] + 1,) + m[k + 1:]
+                            nxt[key] = nxt.get(key, 0) + d * f
+                image = nxt
+        for m, d in image.items():
+            out[m] = out.get(m, 0) + d
+    return Polynomial(rank, out)
+
+
+def y_images(rank):
+    """a_i = y_{i+1} - y_i, in rank + 1 variables."""
+    return [tuple(int(k == i + 1) - int(k == i) for k in range(rank + 1)) for i in range(rank)]
+
+
+def ref_render(p: Polynomial, var: str) -> str:
+    """``render``'s text, written out from the terms view: descending degree,
+    then the reversed exponent tuple (the highest variable decides ties)."""
+    terms = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0][::-1]), reverse=True)
+    if not terms:
+        return "0"
+    parts = []
+    for exp, c in terms:
+        mono = "*".join(f"{var}{j + 1}" + (f"^{x}" if x > 1 else "") for j, x in enumerate(exp) if x)
+        body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_substitute_matches_the_reference_on_sparse_and_dense_images(rank):
+    rng = random.Random(rank)
+    for _ in range(25):
+        p = random_poly(rng, rank, max_terms=8, max_exp=2)
+        assert _substitute(p, y_images(rank), rank + 1) == ref_substitute(p, y_images(rank), rank + 1)
+        for n in (rank, rank + 1):
+            dense = [tuple(rng.choice((-2, -1, 1, 2)) for _ in range(n)) for _ in range(rank)]
+            assert _substitute(p, dense, n) == ref_substitute(p, dense, n)
+
+
+def test_act_matches_the_reference_on_every_element_of_a3_and_b3():
+    rng = random.Random(29)
+    for label in ("A3", "B3"):
+        rs = named(label)
+        for w in rs.elements():
+            images = [w.act(a) for a in rs.simple_roots]  # w(alpha_j)
+            for _ in range(2):
+                p = random_poly(rng, rs.rank, max_terms=6, max_exp=3)
+                assert act(w, p) == ref_substitute(p, images, rs.rank), (label, w)
+
+
+@pytest.mark.parametrize("v,terms", [("413265", 116), ("512463", 155), ("516243", 317)])
+def test_y_render_of_a5_restrictions_matches_the_reference(v, terms):
+    """The first elements of A5, in enumeration order, whose restriction at
+    w0 has 116, 155 and 317 terms."""
+    from schubertcalc import perm_to_element, restrict
+
+    rs = named("A5")
+    p = restrict(perm_to_element(rs, tuple(map(int, v))), rs.longest_element())
+    assert len(p.terms) == terms
+    assert render(p) == ref_render(p, "a")
+    assert render(p, "y") == ref_render(ref_substitute(p, y_images(5), 6), "y")
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 5, 8])
+def test_sorted_terms_is_the_sort_by_degree_then_key(rank):
+    rng = random.Random(100 + rank)
+    for _ in range(30):
+        p = random_poly(rng, rank, max_terms=10, max_exp=4, max_coeff=9)
+        keys = sorted(p._t, key=lambda e: (_degree(e), e), reverse=True)
+        assert p.sorted_terms() == [(_unpack(e, rank), p._t[e]) for e in keys]
+
+
+def test_substitute_at_the_field_limit_is_exact_and_past_it_raises():
+    top = Polynomial(2, {(MAX_EXP, 0): 1})
+    assert _substitute(top, [(0, 1), (1, 0)], 2) == Polynomial(2, {(0, MAX_EXP): 1})
+    # three fields of 50,000 land in one: past 2**17, so a late check would see a carry
+    p = Polynomial(3, {(50000, 50000, 50000): 1})
+    with pytest.raises(OverflowError):
+        _substitute(p, [(1, 0)] * 3, 2)
