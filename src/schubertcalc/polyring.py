@@ -37,10 +37,8 @@ ordinary total degree ("combinatorial degree").
 For type A display there is a second coordinate system ``y1..y{N+1}``
 related by ``a_i = y_{i+1} - y_i``; rendering supports both.  One linear
 substitution, ``_substitute``, serves both the Weyl action (``act``) and
-the y rewrite.  It substitutes one variable at a time and merges the terms
-after each, building the powers of each image once with ``_mul_into``,
-so a term is expanded by one image at a time rather than by the product of
-all of them.  Polynomials are immutable values and every operation is pure.
+the y rewrite: it substitutes one variable at a time, merging the terms
+after each.  Polynomials are immutable values and every operation is pure.
 """
 
 from __future__ import annotations

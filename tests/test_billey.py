@@ -274,7 +274,7 @@ def _random_reduced_word(w, rng):
     while w.length:
         i = rng.choice(w.right_descents())
         word.append(i)
-        w = w._step(i - 1)
+        w = w * w.rs.simple_reflection(i)
     return tuple(reversed(word))
 
 
@@ -300,8 +300,9 @@ def test_restrict_over_seeded_words_of_w0_matches_the_table(label):
     rs = named(label)
     w0 = rs.longest_element()
     col = restrict_all(w0)
-    rng = random.Random(len(label) + rs.rank)
-    some = [rs.identity, *rs._simple_refl, *rng.sample(rs.elements(), 6)]
+    rng = random.Random(label)
+    simple = [rs.simple_reflection(i) for i in range(1, rs.rank + 1)]
+    some = [rs.identity, *simple, *rng.sample(rs.elements(), 6)]
     for _ in range(4):
         word = _random_reduced_word(w0, rng)
         assert word_to_element(rs, word) is w0 and len(word) == w0.length

@@ -6,7 +6,10 @@ action (Hypothesis inputs in ranks 1-8); division is also checked on
 multiples of every bottom restriction of A3, B3, C3 and G2; the action
 is also checked against the group axioms on random inputs in A3 and B2,
 and sympy reads the rendered text forms back in both bases.  The packed storage is checked for its tuple-keyed ``terms`` view and for
-exponents that leave their field.
+exponents that leave their field.  The substitution behind the action and
+the y rewrite is also checked against a test-local expansion of each
+monomial on exponent tuples, and the rendered text against a test-local
+renderer.
 """
 
 import json
@@ -26,10 +29,12 @@ from schubertcalc import (
     divide_exact,
     is_divisible,
     named,
+    perm_to_element,
     word_to_element,
     poly_from_json,
     poly_to_json,
     render,
+    restrict,
 )
 from schubertcalc.polyring import _degree, _mul_into, _substitute, _unpack
 
@@ -615,8 +620,6 @@ def test_act_matches_the_reference_on_every_element_of_a3_and_b3():
 def test_y_render_of_a5_restrictions_matches_the_reference(v, terms):
     """The first elements of A5, in enumeration order, whose restriction at
     w0 has 116, 155 and 317 terms."""
-    from schubertcalc import perm_to_element, restrict
-
     rs = named("A5")
     p = restrict(perm_to_element(rs, tuple(map(int, v))), rs.longest_element())
     assert len(p.terms) == terms
