@@ -22,15 +22,17 @@ partial subword product: after a prefix ``w'`` this is the column
 :func:`restrict_all`, :func:`schubert_class` and :func:`restrict` read a
 shared per-group table: the canonical word of ``w`` extends that of its
 prefix, so each column is one letter on the prefix's column, sharing its
-unchanged polynomials.  :func:`restrict` with an explicit ``word`` (an
-independent check of the table), and without one when the table lacks the
-column (as for :func:`base_constant`), runs a Bruhat-pruned pass instead:
-it keeps only the states ``q <= v``, adds into term dicts it owns in
-place, and carries the prefix's images of the simple roots along the word,
-so it builds no matrix and returns ``S_v|_w`` alone.  A letter changes
-only the images that the Cartan matrix's row for it touches, and the pass
-stops after the last letter in ``v``'s support, since no later letter
-moves a state ``q <= v``.
+unchanged polynomials.  A Schubert class is one row across all columns,
+so :func:`schubert_class` reads them from one per-group list in canonical
+order, filled from the table on the group's first class.  :func:`restrict`
+with an explicit ``word`` (an independent check of the table), and without
+one when the table lacks the column (as for :func:`base_constant`), runs a
+Bruhat-pruned pass instead: it keeps only the states ``q <= v``, adds into
+term dicts it owns in place, and carries the prefix's images of the simple
+roots along the word, so it builds no matrix and returns ``S_v|_w`` alone.
+A letter changes only the images that the Cartan matrix's row for it
+touches, and the pass stops after the last letter in ``v``'s support, since
+no later letter moves a state ``q <= v``.
 
 Two special values get their own entry points: the bottom restriction
 ``S_w|_w`` (a product of positive roots, by the closed formula) and the
@@ -43,7 +45,9 @@ All functions are pure; per-group memo tables are filled idempotently.
 from __future__ import annotations
 
 from .polyring import Polynomial, _checked, _mul_into
-from .rootsys import Root, WeylElement, _first_negative, _per_group, _same_group, bruhat_leq, word_to_element
+from .rootsys import (
+    Root, RootSystem, WeylElement, _first_negative, _per_group, _same_group, bruhat_leq, word_to_element,
+)
 from .gkm import GkmClass
 
 __all__ = [
@@ -168,7 +172,19 @@ def schubert_class(w: WeylElement) -> GkmClass:
     """
     rs = w.rs
     zero = Polynomial.zero(rs.rank)
-    return GkmClass(rs, [restrict_all(v).get(w, zero) for v in rs.elements()])
+    return GkmClass(rs, [col.get(w, zero) for col in _columns(rs)])
+
+
+def _columns(rs: RootSystem) -> list[dict[WeylElement, Polynomial]]:
+    """Every column :func:`restrict_all` at every element, in canonical order.
+
+    One list per group, filled once (and idempotently) from the table, so a
+    Schubert class is one read of each column and no call per element.
+    """
+    cols = rs.caches.get("columns")
+    if cols is None:
+        cols = rs.caches["columns"] = [restrict_all(v) for v in rs.elements()]
+    return cols
 
 
 def base_constant(v: WeylElement) -> Polynomial:

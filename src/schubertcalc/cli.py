@@ -11,8 +11,10 @@ covering 1..n), as words in the simple reflections (``s1 s3 s2``, or bare
 indices like ``1 3 2`` when they do not form a permutation), or ``e`` for
 the identity.
 
-Exit codes are part of the contract: 0 success, 2 usage errors, 3 engine
-mismatches, 4 exact-division failures or violated internal invariants.
+Exit codes are part of the contract: 0 success, 2 usage errors (a
+``ValueError`` only while reading the group, the elements or ``--first-r``),
+3 engine mismatches, 4 exact-division failures or violated internal
+invariants (a ``ValueError`` raised by a computation among them).
 """
 
 from __future__ import annotations
@@ -46,6 +48,18 @@ INVARIANT_EXIT = 4
 
 class UsageError(Exception):
     pass
+
+
+def _read_input(fn, *args):
+    """``fn(*args)`` on the user's input, where a ``ValueError`` is a usage error.
+
+    Only the group, the elements and ``trace --first-r`` are read this way;
+    a ``ValueError`` from a computation is an internal invariant failure.
+    """
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def load_group(source: str) -> RootSystem:
@@ -332,6 +346,8 @@ def _cmd_verify(args, rs, basis) -> int:
 
 
 def _cmd_trace(args, rs, basis, w, v, u) -> int:
+    if args.first_r is not None:
+        _read_input(recurrence._check_first_r, w, args.first_r)
     node = recurrence.trace_constant(
         w, v, u,
         drop_equivariant=not args.keep_equivariant,
@@ -389,19 +405,19 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     cmd, names = _COMMANDS[args.command]
     try:
-        rs = load_group(args.group)
+        rs = _read_input(load_group, args.group)
         basis = _default_basis(rs, getattr(args, "basis", None))
-        return cmd(args, rs, basis, *[parse_element(rs, getattr(args, x)) for x in names])
+        return cmd(args, rs, basis, *[_read_input(parse_element, rs, getattr(args, x)) for x in names])
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except EngineMismatchError as exc:
         print(f"engine mismatch: {exc}", file=sys.stderr)
         return MISMATCH_EXIT
-    except (NotDivisibleError, NonzeroResidualError, AssertionError) as exc:
+    except (NotDivisibleError, NonzeroResidualError, AssertionError, ValueError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return INVARIANT_EXIT
-    except (SchubertError, ValueError) as exc:
+    except SchubertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

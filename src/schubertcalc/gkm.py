@@ -14,9 +14,12 @@ to the simple roots, and the closed-form expansion of a Chern class times
 a Schubert class over the covers in Bruhat order.
 
 Values are stored densely, aligned with the canonical group enumeration.
-A product of classes multiplies each distinct pair of values once: Schubert
-classes repeat values (constant on the right cosets of the parabolic
-subgroup of their ascents), and polynomials cache their hashes.
+A product of classes multiplies each distinct pair of nonzero values once:
+Schubert classes repeat values (constant on the right cosets of the
+parabolic subgroup of their ascents), and polynomials cache their hashes.
+A point where either value is zero, as every point outside the common
+support of two Schubert classes is, gets the shared zero of the rank,
+tested on the packed terms without hashing the pair.
 Classes are immutable; operator evaluations at distinct fixed points are
 independent, so results never depend on evaluation order.
 """
@@ -104,9 +107,13 @@ class GkmClass:
             return GkmClass(self.rs, [p * scalar for p in self.values])
         if isinstance(other, GkmClass):
             self._same(other)
-            products: dict = {}  # one product per distinct pair of values
+            zero = _zero(self.rs.rank)
+            products: dict = {}  # one product per distinct pair of nonzero values
             values = []
             for pair in zip(self.values, other.values):
+                if not (pair[0]._t and pair[1]._t):  # a zero factor: no hash, no product
+                    values.append(zero)
+                    continue
                 got = products.get(pair)
                 if got is None:
                     got = products[pair] = pair[0] * pair[1]

@@ -15,13 +15,18 @@ is corrupt (``NonzeroResidualError``).
 Values repeat: by the right action ``S_u . r_i = S_u`` for every ascent
 ``u r_i > u``, so ``S_u`` is constant on right cosets of the parabolic
 subgroup of ``u``'s ascents, and ``S_w * S_v`` on those of their common
-ascents.  The class product forms each distinct pair of values once, and
-each step of the elimination forms ``coeff * s`` once per distinct value
-``s`` of ``S_w`` (the support grouped by value is memoized beside the
-class), then subtracts it in place from the residual of every point of that
-group, a term dict of its own from the point's first update.  For ``w``'s
-own group, whose value is the divisor, the product is the residual at ``w``
-itself, which the division has just proved, so that group forms none.
+ascents.  Each Schubert class is one row across billey's restriction
+columns, read from one per-group list of them in canonical order.  The
+class product forms each distinct pair of nonzero values once, and every
+point outside the common support gets the shared zero without its pair
+being hashed.  Each step of the elimination forms ``coeff * s`` once per
+distinct value ``s`` of ``S_w`` (the support grouped by value is memoized
+beside the class), then subtracts it in place from the residual of every
+point of that group, a term dict of its own from the point's first update.
+For ``w``'s own group, whose value is the divisor, the product is the
+residual at ``w`` itself, which the division has just proved, so that
+group forms none.  Zero and equality tests in these loops, and in the
+sweep's per-triple comparison, read the packed terms directly.
 
 The expansion deliberately shares no code path with the recursive
 structure-constant engine beyond the primitive modules, so the two can
@@ -126,14 +131,14 @@ def _support_by_value(w: WeylElement) -> list[tuple[Polynomial, list[int]]]:
     product of the bottom factors at ``w``, the divisor there."""
     idx = w.rs.element_index(w)
     values = schubert_class(w).values
-    if any(values[:idx]):
+    if any(sv._t for sv in values[:idx]):
         raise NonzeroResidualError(f"S_{w!r} is nonzero below its own index {idx}")
-    if values[idx] != bottom_restriction.__wrapped__(w):  # computed afresh, not read from its table
+    if values[idx]._t != bottom_restriction.__wrapped__(w)._t:  # computed afresh, not read from its table
         raise NonzeroResidualError(f"S_{w!r} at {w!r} is not the bottom restriction")
     groups: dict[Polynomial, list[int]] = {}
-    for j, sv in enumerate(values):
-        if sv:
-            groups.setdefault(sv, []).append(j)
+    for j in range(idx, len(values)):
+        if values[j]._t:
+            groups.setdefault(values[j], []).append(j)
     return list(groups.items())
 
 
@@ -264,20 +269,23 @@ def verify_sweep(rs: RootSystem, ws=None, vs=None, *, force: bool = False) -> Sw
     t0 = time.perf_counter()
     for w in ws:
         for v in vs:
-            expansion = oracle_product(w, v)
+            # both engines by their module names, bound once per row
+            constant, coeff = structure_constant, oracle_product(w, v).coeff
+            top = w.length + v.length
+            report.triples += len(elements)
             for u in elements:
-                report.triples += 1
-                rec = structure_constant(w, v, u)
-                orc = expansion.coeff(u)
-                if rec != orc:
+                rec = constant(w, v, u)
+                orc = coeff(u)
+                terms = rec._t  # one group, so equal packed terms are equal polynomials
+                if terms != orc._t:
                     report.mismatches.append(where(w, v, u, recurrence=render(rec), oracle=render(orc)))
-                if rec.is_zero():
+                if not terms:
                     continue
                 report.max_coeff = max(report.max_coeff, rec.max_abs_coeff())
-                if u.length == w.length + v.length:
-                    if rec.homogeneous_degree() != 0 or rec.constant_term() < 0:
-                        report.ordinary_violations.append(where(w, v, u, value=render(rec)))
-                if any(c < 0 for c in rec.terms.values()):
+                # an ordinary constant is a nonnegative integer: its one monomial is 1
+                if u.length == top and (terms.keys() != {0} or terms[0] < 0):
+                    report.ordinary_violations.append(where(w, v, u, value=render(rec)))
+                if min(terms.values()) < 0:
                     report.coeff_violations.append(where(w, v, u, value=render(rec)))
     report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return report

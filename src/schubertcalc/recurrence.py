@@ -181,11 +181,16 @@ def trace_constant(
     """
     rs = _same_group(w, v, u)
     if first_r is not None:
-        if not 1 <= first_r <= rs.rank:
-            raise ValueError(f"first_r={first_r} is outside 1..{rs.rank}")
-        if not w.right_ascent(first_r):
-            raise ValueError(f"first_r={first_r} is not an ascent of {w!r}")
+        _check_first_r(w, first_r)
     return _trace(rs, w, v, u, drop_equivariant, {}, first_r=first_r)
+
+
+def _check_first_r(w: WeylElement, first_r: int) -> None:
+    """Raise ``ValueError`` unless ``first_r`` is an ascent of ``w`` in ``1..rank``."""
+    if not 1 <= first_r <= w.rs.rank:
+        raise ValueError(f"first_r={first_r} is outside 1..{w.rs.rank}")
+    if not w.right_ascent(first_r):
+        raise ValueError(f"first_r={first_r} is not an ascent of {w!r}")
 
 
 def _trace(rs, w, v, u, drop, nodes, first_r=None):

@@ -157,6 +157,17 @@ def test_schubert_class_values(s3, a1):
     assert cls1.value(s1) == Polynomial.variable(1, 1)
 
 
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_schubert_class_is_the_row_of_every_restriction_column(label):
+    """On a fresh group, each class reads the per-group column list in
+    canonical order: its value at v is S_w|_v from the column at v, else zero."""
+    rs = named(label)
+    zero = Polynomial.zero(rs.rank)
+    for w in rs.elements():
+        expect = tuple(restrict_all(v).get(w, zero) for v in rs.elements())
+        assert schubert_class(w).values == expect
+
+
 def test_base_constants(s3):
     assert base_constant(s3.identity) == Polynomial.one(2)
     assert render(base_constant(perm(s3, "213")), "y") == "y3 - y1"

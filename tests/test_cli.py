@@ -228,6 +228,20 @@ def test_verify_text(capsys):
     assert "512 triples, 0 mismatches" in out
 
 
+@pytest.mark.parametrize("group,triples", [("A3", 13_824), ("B3", 110_592)])
+def test_verify_sweep_reproduces_the_golden_payload(capsys, group, triples):
+    """Every triple of the group: the JSON report, less its elapsed time, equals
+    the committed payload (triple count, max |coeff|, no mismatch or violation)."""
+    code, out, err = run(capsys, "verify", "--group", group, "--suite", "sweep", "--output", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert isinstance(payload["sweep"].pop("elapsed_ms"), float)
+    with open(os.path.join(os.path.dirname(__file__), "golden", f"verify_sweep_{group}.json")) as f:
+        golden = json.load(f)
+    assert golden["sweep"]["triples"] == triples
+    assert payload == golden
+
+
 @pytest.mark.parametrize("suite", ["cover", "props"])
 def test_verify_refuses_every_suite_past_the_sweep_cap(capsys, suite):
     start = time.perf_counter()
@@ -546,6 +560,34 @@ def test_invariant_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli.billey, "restrict", explode)
     code, _, err = run(capsys, "restrict", "--group", "A2", "--v", "213", "--w", "321")
     assert code == 4 and "invariant" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("constant", "--group", "A2", "--w", "213", "--v", "213", "--u", "312"),
+    ("product", "--group", "A2", "--w", "213", "--v", "213"),
+])
+def test_value_error_from_a_computation_exits_4(capsys, monkeypatch, argv):
+    import schubertcalc.cli as cli
+
+    def explode(w, v, u):
+        raise ValueError("synthetic fault")
+
+    monkeypatch.delenv("SCHUBERTCALC_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cli.recurrence, "structure_constant", explode)
+    assert run(capsys, *argv) == (4, "", "internal invariant failure: synthetic fault\n")
+
+
+def test_value_error_from_a_trace_past_its_first_r_check_exits_4(capsys, monkeypatch):
+    import schubertcalc.cli as cli
+
+    def explode(w, v, u, **options):
+        raise ValueError("synthetic fault")
+
+    monkeypatch.setattr(cli.recurrence, "trace_constant", explode)
+    argv = ("trace", "--group", "A2", "--w", "123", "--v", "213", "--u", "213", "--first-r", "1")
+    assert run(capsys, *argv) == (4, "", "internal invariant failure: synthetic fault\n")
+    # the check itself still reads the user's input
+    assert run(capsys, *argv[:-1], "3") == (2, "", "error: first_r=3 is outside 1..2\n")
 
 
 @pytest.mark.parametrize(
