@@ -160,7 +160,7 @@ def test_schubert_class_values(s3, a1):
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
 def test_schubert_class_is_the_row_of_every_restriction_column(label):
     """On a fresh group, each class reads the per-group column list in
-    canonical order: its value at v is S_w|_v from the column at v, else zero."""
+    canonical order: its value at v is S_w|_v, read from the column at v, else zero."""
     rs = named(label)
     zero = Polynomial.zero(rs.rank)
     for w in rs.elements():
