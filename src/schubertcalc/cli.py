@@ -15,6 +15,10 @@ Exit codes are part of the contract: 0 success, 2 usage errors (a
 ``ValueError`` only while reading the group, the elements or ``--first-r``),
 3 engine mismatches, 4 exact-division failures or violated internal
 invariants (a ``ValueError`` raised by a computation among them).
+
+With ``SCHUBERTCALC_CACHE_DIR`` set, ``constant`` keeps each result there in
+a file of its own, written in place; an entry that fails its check (torn,
+edited, of another key or format) is a miss and is written again.
 """
 
 from __future__ import annotations
@@ -212,24 +216,25 @@ def _cache_read(path: Path, key: str, rank: int) -> Polynomial | None:
 
 
 def _cache_write(path: Path, key: str, data: list) -> None:
-    """Write an entry for the JSON form ``data`` of a value through a temporary file,
-    so readers never see half of one; the directory is made on the first write."""
-    import tempfile
+    """Write an entry for the JSON form ``data`` of a value in place, in one write.
 
+    A torn entry (a crash, a concurrent writer) fails the reader's check, so
+    it is a miss and gets rewritten.  A symlink at the path is refused, not
+    followed, where the platform has ``O_NOFOLLOW`` (Unix).  The directory is
+    made on the first write.
+    """
     entry = {"format": CACHE_FORMAT, "key": key, "value": data, "sha256": _entry_digest(key, data)}
-    tmp = None
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_NOFOLLOW", 0)
     try:
         try:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            fd = os.open(path, flags, 0o600)
         except FileNotFoundError:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "w") as f:
-            f.write(json.dumps(entry))
-        os.replace(tmp, path)
+            fd = os.open(path, flags, 0o600)
+        with open(fd, "wb") as f:
+            f.write(json.dumps(entry).encode())
     except OSError:
-        if tmp is not None:
-            Path(tmp).unlink(missing_ok=True)  # the cache is best-effort
+        pass  # the cache is best-effort
 
 
 def _emit(args, text: str, /, **fields) -> None:

@@ -81,6 +81,7 @@ def _mat_vec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(m[i][j] * v[j] for j in rng) for i in rng)
 
 
+@functools.cache
 def _identity_mat(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -313,31 +314,31 @@ class RootSystem:
                         raise ValueError("Cartan zero pattern must be symmetric")
 
     def _close_roots(self):
-        # r_k(x) = x - <x, alpha_k_check> alpha_k moves coordinate k alone; on coroot
-        # coordinates the pairing uses column k of the Cartan matrix instead of row k,
-        # and each sum runs over the nonzero entries alone
-        info: dict[Root, tuple[tuple[int, ...], tuple[Root, int] | None]] = {
-            c: (c, None) for c in self.simple_roots
-        }
-        frontier = list(self.simple_roots)
+        # each root carries p = (<beta, alpha_k_check>)_k; r_k(beta) = beta - p_k alpha_k
+        # climbs exactly when p_k < 0, and then p moves by p_k times column k of the
+        # Cartan matrix (alpha_k in weight coordinates), over its nonzero entries alone
+        info = {c: (c, None) for c in self.simple_roots}  # root: (coroot, (parent, k + 1))
+        frontier = [(c, tuple(row[k] for row in self.cartan)) for k, c in enumerate(self.simple_roots)]
         while frontier:
             new_frontier = []
-            for coords in frontier:
+            for coords, p in frontier:
                 height = sum(coords)
-                for k, row in enumerate(self._row_support):
-                    c = coords[k] - sum([a * coords[j] for j, a in row])
-                    # the image is negative only for a multiple of alpha_k, and of
-                    # mixed sign if any other coordinate is left
-                    if c < 0:
-                        if coords[k] != height:
+                for k, pk in enumerate(p):
+                    if pk >= 0:
+                        # the image is negative only for a multiple of alpha_k, and of
+                        # mixed sign if any other coordinate is left
+                        if pk > coords[k] and coords[k] != height:
                             raise NonFiniteTypeError("Cartan data does not generate a consistent root system")
                         continue
-                    img = coords[:k] + (c,) + coords[k + 1:]
+                    img = coords[:k] + (coords[k] - pk,) + coords[k + 1:]
                     if img not in info:
                         co = info[coords][0]
                         d = co[k] - sum([a * co[j] for j, a in self._alpha_support[k]])
                         info[img] = (co[:k] + (d,) + co[k + 1:], (coords, k + 1))
-                        new_frontier.append(img)
+                        q = list(p)
+                        for j, a in self._alpha_support[k]:
+                            q[j] -= pk * a
+                        new_frontier.append((img, tuple(q)))
                         if len(info) > MAX_ROOTS:
                             raise NonFiniteTypeError(
                                 f"root closure exceeded {MAX_ROOTS} roots; "
@@ -475,6 +476,7 @@ def _weyl_order(positive_roots: list[Root]) -> int:
 # -- named Cartan matrices --------------------------------------------------
 
 
+@functools.cache
 def _cartan_a(n: int) -> Matrix:
     return tuple(
         tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
@@ -510,12 +512,36 @@ _CARTAN_F4: Matrix = (
     (0, 0, -1, 2),
 )
 
+# each named family's Cartan builder and its supported ranks
+_FAMILIES = {
+    "A": (_cartan_a, range(1, 9)),
+    "B": (_cartan_b, range(2, 9)),
+    "C": (_cartan_c, range(2, 9)),
+    "D": (_cartan_d, range(3, 9)),
+    "G": (lambda n: _CARTAN_G2, (2,)),
+    "F": (lambda n: _CARTAN_F4, (4,)),
+}
+
+
+def _named_cartan(label: str) -> tuple[str, Matrix]:
+    """The type a label like ``"b_2"`` names (``"B2"``), with its Cartan matrix from
+    the family's builder; :class:`UnknownTypeError` if it names no supported type."""
+    m = re.fullmatch(r"([ABCDFG])[_ ]?(\d+)", label.strip().upper())
+    if not m:
+        raise UnknownTypeError(f"unrecognized root system label: {label!r}")
+    family, n = m.group(1), int(m.group(2))
+    builder, ranks = _FAMILIES[family]
+    if n not in ranks:
+        raise UnknownTypeError(f"unsupported root system label: {label!r}")
+    return f"{family}{n}", builder(n)
+
 
 def build(cartan, type_label: str | None = None) -> RootSystem:
     """Build a root system from integer Cartan data.
 
     Raises ``ValueError`` unless ``cartan`` is a list of rows of ints (a
-    bool or a float is refused) and ``type_label`` is a string or None, and
+    bool or a float is refused) and ``type_label`` is a string or None that,
+    if :func:`named` knows it, names this Cartan matrix, and
     :class:`NonFiniteTypeError` when the root closure exceeds ``MAX_ROOTS``
     (affine or indefinite input).
     """
@@ -525,7 +551,14 @@ def build(cartan, type_label: str | None = None) -> RootSystem:
         raise ValueError("Cartan data must be a list of rows of integers")
     if type_label is not None and not isinstance(type_label, str):
         raise ValueError(f"group label {type_label!r} is not a string")
-    return RootSystem(tuple(map(tuple, cartan)), type_label=type_label)
+    cartan = tuple(map(tuple, cartan))
+    try:
+        expect = cartan if type_label is None else _named_cartan(type_label)[1]
+    except UnknownTypeError:
+        expect = cartan  # a free-form label names no type
+    if expect != cartan:
+        raise ValueError(f"group label {type_label!r} names the Cartan matrix {expect}, not {cartan}")
+    return RootSystem(cartan, type_label=type_label)
 
 
 def named(label: str) -> RootSystem:
@@ -534,25 +567,8 @@ def named(label: str) -> RootSystem:
     >>> named("A2").order()
     6
     """
-    m = re.fullmatch(r"([ABCDFG])[_ ]?(\d+)", label.strip().upper())
-    if not m:
-        raise UnknownTypeError(f"unrecognized root system label: {label!r}")
-    family, n = m.group(1), int(m.group(2))
-    if family == "A" and 1 <= n <= 8:
-        cartan = _cartan_a(n)
-    elif family == "B" and 2 <= n <= 8:
-        cartan = _cartan_b(n)
-    elif family == "C" and 2 <= n <= 8:
-        cartan = _cartan_c(n)
-    elif family == "D" and 3 <= n <= 8:
-        cartan = _cartan_d(n)
-    elif family == "G" and n == 2:
-        cartan = _CARTAN_G2
-    elif family == "F" and n == 4:
-        cartan = _CARTAN_F4
-    else:
-        raise UnknownTypeError(f"unsupported root system label: {label!r}")
-    return build(cartan, type_label=f"{family}{n}")
+    type_label, cartan = _named_cartan(label)
+    return RootSystem(cartan, type_label=type_label)
 
 
 # -- elements from one-line notation and from words -------------------------

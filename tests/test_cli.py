@@ -330,6 +330,17 @@ def test_group_from_cartan_file(tmp_path, capsys):
     assert code == 0 and "|W|        : 6" in out
 
 
+@pytest.mark.parametrize("command", ["info", "verify"])
+def test_group_file_label_must_name_its_cartan_matrix(tmp_path, capsys, command):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]], "label": "B2"}))
+    message = "group label 'B2' names the Cartan matrix ((2, -1), (-2, 2)), not ((2, -1), (-1, 2))"
+    assert run(capsys, command, "--group", str(path)) == (2, "", f"error: {message}\n")
+    path.write_text(json.dumps({"cartan": [[2, -1], [-2, 2]], "label": "b_2"}))
+    code, out, _ = run(capsys, "info", "--group", str(path))
+    assert code == 0 and "|W|        : 8" in out
+
+
 _NOT_ROWS = "Cartan data must be a list of rows of integers"
 
 
@@ -727,12 +738,27 @@ def test_failed_cache_write_is_best_effort(tmp_path, capsys, monkeypatch):
     first, blocked = tmp_path / "first", tmp_path / "blocked"
     monkeypatch.setenv("SCHUBERTCALC_CACHE_DIR", str(first))
     assert run(capsys, *argv) == (0, "y2 - y1\n", "")
-    # a directory at the entry's path makes the final rename fail, even for root
+    # a directory at the entry's path makes opening it for writing fail, even for root
     entry = blocked / _cache_entry(first).name
     entry.mkdir(parents=True)
     monkeypatch.setenv("SCHUBERTCALC_CACHE_DIR", str(blocked))
     assert run(capsys, *argv) == (0, "y2 - y1\n", "")
     assert list(blocked.iterdir()) == [entry] and entry.is_dir() and not any(entry.iterdir())
+
+
+@pytest.mark.parametrize("dangling", [False, True])
+def test_symlink_at_the_cache_entry_is_refused_not_followed(tmp_path, capsys, monkeypatch, dangling):
+    cache, target = tmp_path / "cache", tmp_path / "target"
+    cache.mkdir()
+    if not dangling:
+        target.write_text("not an entry")
+    link = cache / GOLDEN_A3_ENTRY[0]
+    link.symlink_to(target)
+    monkeypatch.setenv("SCHUBERTCALC_CACHE_DIR", str(cache))
+    argv = ("constant", "--group", "A3", "--w", "3124", "--v", "4123", "--u", "4123")
+    assert run(capsys, *argv) == (0, "y4^2 - y2*y4 - y1*y4 + y1*y2\n", "")
+    assert link.is_symlink() and list(cache.iterdir()) == [link]
+    assert not target.exists() if dangling else target.read_text() == "not an entry"
 
 
 def test_edited_cache_entry_is_not_served(tmp_path, capsys, monkeypatch):

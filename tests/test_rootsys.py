@@ -618,6 +618,26 @@ def test_order_of_e8_from_cartan_data():
     assert "elements" not in rs.caches
 
 
+def _known_positive_roots(label):
+    family, n = label[0], int(label[1:])
+    return {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1), "G": 6, "F": 24, "E": 120}[family]
+
+
+@pytest.mark.parametrize("label", NAMED_LABELS + ["E8"])
+def test_root_closure_pairs_each_coroot_and_reflection_with_its_root(label):
+    """The closure finds the known number of positive roots, each stored coroot
+    pairs to 2 with its root, and the reflection through each root, built by
+    conjugation along the closure tree independently of the coroots, maps it to
+    its negative."""
+    rs = build(e8_cartan(), type_label="E8") if label == "E8" else named(label)
+    assert len(rs.positive_roots) == _known_positive_roots(label)
+    rng = range(rs.rank)
+    for beta in rs.positive_roots:
+        co = rs._coroots[beta]
+        assert sum(co[i] * rs.cartan[i][j] * beta[j] for i in rng for j in rng) == 2, (label, beta)
+        assert rs.reflection(beta).act(beta) == tuple(-c for c in beta), (label, beta)
+
+
 def test_longest_element_without_enumeration():
     for label in ("A8", "B8", "D8", "F4"):
         rs = named(label)
