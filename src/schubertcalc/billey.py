@@ -27,14 +27,12 @@ so :func:`schubert_class` reads them from one per-group list in canonical
 order, filled from the table on the group's first class.  :func:`restrict`
 with an explicit ``word`` (an independent check of the table), and without
 one when the table lacks the column (as for :func:`base_constant`), runs a
-Bruhat-pruned pass instead: it keeps only the states in the interval
-``[e, v]``, built once as the products of the subwords of ``v``'s reduced
-word, so a state costs one set lookup and no Bruhat comparison.  It adds
-into term dicts it owns in place, and carries the prefix's images of the
-simple roots along the word, so it builds no matrix and returns ``S_v|_w``
-alone.  A letter changes only the images that the Cartan matrix's row for
-it touches, and the pass stops after the last letter in ``v``'s support,
-since no later letter moves a state in ``[e, v]``.
+Bruhat-pruned pass instead: it keeps only the states ``q <= v``, adds into
+term dicts it owns in place, and carries the prefix's images of the simple
+roots along the word, so it builds no matrix and returns ``S_v|_w`` alone.
+A letter changes only the images that the Cartan matrix's row for it
+touches, and the pass stops after the last letter in ``v``'s support, since
+no later letter moves a state ``q <= v``.
 
 Two special values get their own entry points: the bottom restriction
 ``S_w|_w`` (a product of positive roots, by the closed formula) and the
@@ -46,9 +44,9 @@ All functions are pure; per-group memo tables are filled idempotently.
 
 from __future__ import annotations
 
-from .polyring import Polynomial, _checked, _linear, _mul_into
+from .polyring import Polynomial, _checked, _mul_into
 from .rootsys import (
-    Root, RootSystem, WeylElement, _first_negative, _per_group, _same_group, word_to_element,
+    Root, RootSystem, WeylElement, _first_negative, _per_group, _same_group, bruhat_leq, word_to_element,
 )
 from .gkm import GkmClass
 
@@ -79,31 +77,21 @@ def _extend(acc: dict, prefix: WeylElement, k: int) -> dict:
     return nxt
 
 
-def _lower_interval(v: WeylElement) -> set[WeylElement]:
-    """The Bruhat interval ``[e, v]``: the products of the subwords of a reduced word
-    of ``v`` (the subword property, Bjorner-Brenti, GTM 231, 2.2)."""
-    below = {v.rs.identity}
-    for i in v.reduced_word():
-        below.update([u._step(i - 1) for u in below])
-    return below
-
-
 def _billey_pass(w: WeylElement, v: WeylElement, word=None) -> Polynomial:
     """``S_v|_w`` from one pass over a reduced word of ``w``, by default its canonical one.
 
-    Only the states in ``[e, v]``, built once, are kept, each with a term
-    dict of its own that the pass adds into in place: within one letter the
-    sources (``x[k] > 0``) and the targets (``x[k] < 0``) are disjoint, so
-    nothing is read after it is written.  ``cols[j]`` is ``prefix . alpha_{j+1}``, and
+    Only the states ``q <= v`` are kept, each with a term dict of its own
+    that the pass adds into in place: within one letter the sources
+    (``x[k] > 0``) and the targets (``x[k] < 0``) are disjoint, so nothing is
+    read after it is written.  ``cols[j]`` is ``prefix . alpha_{j+1}``, and
     ``prefix r_k . alpha_j = cols[j] - A[k][j] cols[k]`` carries it along
     the word, so no matrix is built; only the columns ``j`` with
     ``A[k][j] != 0`` change.  A letter outside ``v``'s support moves no
-    state in ``[e, v]``, so the pass stops after the last letter inside it.
+    state ``q <= v``, so the pass stops after the last letter inside it.
     """
     rs = w.rs
     cols = list(rs.simple_roots)
-    acc = {rs.identity: {0: 1}}  # never a target: only read
-    below = _lower_interval(v)
+    acc = {rs.identity: Polynomial.one(rs.rank)._t}  # never a target: only read
     support = set(v.reduced_word())
     word = w.reduced_word() if word is None else word
     end = max((n + 1 for n, i in enumerate(word) if i in support), default=0)
@@ -111,9 +99,9 @@ def _billey_pass(w: WeylElement, v: WeylElement, word=None) -> Polynomial:
         k = i - 1
         ck = cols[k]
         if i in support:
-            factor = _linear(ck)
+            factor = Polynomial.linear(ck)._t
             for q, t in [(p._step(k), t) for p, t in acc.items() if p.x[k] > 0]:
-                if q in below:
+                if bruhat_leq(q, v):
                     _mul_into(acc.setdefault(q, {}), t, factor)
         for j, a in rs._row_support[k]:
             cols[j] = [c - a * b for c, b in zip(cols[j], ck)]
@@ -136,8 +124,10 @@ def restrict(v: WeylElement, w: WeylElement, word=None) -> Polynomial:
         if target != w:
             raise ValueError("word does not multiply to the requested element")
         return _billey_pass(w, v, word)
-    col = rs.cache("restrict_all").get(w)  # holds exactly the v <= w
-    return _billey_pass(w, v) if col is None else col.get(v, Polynomial.zero(rs.rank))
+    if not bruhat_leq(v, w):
+        return Polynomial.zero(rs.rank)
+    col = rs.cache("restrict_all").get(w)
+    return _billey_pass(w, v) if col is None else col[v]
 
 
 @_per_group("restrict_all")

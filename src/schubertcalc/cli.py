@@ -15,10 +15,6 @@ Exit codes are part of the contract: 0 success, 2 usage errors (a
 ``ValueError`` only while reading the group, the elements or ``--first-r``),
 3 engine mismatches, 4 exact-division failures or violated internal
 invariants (a ``ValueError`` raised by a computation among them).
-
-With ``SCHUBERTCALC_CACHE_DIR`` set, ``constant`` keeps each result there in
-a file of its own, written in place; an entry that fails its check (torn,
-edited, of another key or format) is a miss and is written again.
 """
 
 from __future__ import annotations
@@ -27,6 +23,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -192,6 +189,10 @@ def _result_cache_path(key: str, engine: str) -> Path | None:
     return Path(root) / f"constant-{digest}.json"
 
 
+# an entry's path is opened without following a symlink or waiting on a FIFO
+_NO_FOLLOW = getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_NONBLOCK", 0)
+
+
 def _entry_digest(key: str, value: list) -> str:
     import hashlib
 
@@ -201,10 +202,12 @@ def _entry_digest(key: str, value: list) -> str:
 def _cache_read(path: Path, key: str, rank: int) -> Polynomial | None:
     """The cached value, or None unless the entry is intact and is this key's.
 
-    A missing, truncated or edited entry, or one of another format, is a miss.
+    A missing, truncated or edited entry, or one of another format, is a miss,
+    and so is a symlink at the path.
     """
     try:
-        entry = json.loads(path.read_text())
+        with open(os.open(path, os.O_RDONLY | _NO_FOLLOW), "rb") as f:
+            entry = json.loads(f.read())
         value = entry["value"]
         if (entry["format"], entry["key"], entry["sha256"]) != (
             CACHE_FORMAT, key, _entry_digest(key, value)
@@ -216,15 +219,12 @@ def _cache_read(path: Path, key: str, rank: int) -> Polynomial | None:
 
 
 def _cache_write(path: Path, key: str, data: list) -> None:
-    """Write an entry for the JSON form ``data`` of a value in place, in one write.
-
-    A torn entry (a crash, a concurrent writer) fails the reader's check, so
-    it is a miss and gets rewritten.  A symlink at the path is refused, not
-    followed, where the platform has ``O_NOFOLLOW`` (Unix).  The directory is
-    made on the first write.
-    """
+    """Write an entry for the JSON form ``data`` of a value in place, in one write,
+    and only into a regular file with no other link; the directory is made on the
+    first write.  A torn entry (a crash, a concurrent writer) fails the reader's
+    check, so it is a miss and gets rewritten."""
     entry = {"format": CACHE_FORMAT, "key": key, "value": data, "sha256": _entry_digest(key, data)}
-    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_NOFOLLOW", 0)
+    flags = os.O_WRONLY | os.O_CREAT | _NO_FOLLOW
     try:
         try:
             fd = os.open(path, flags, 0o600)
@@ -232,7 +232,10 @@ def _cache_write(path: Path, key: str, data: list) -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd = os.open(path, flags, 0o600)
         with open(fd, "wb") as f:
-            f.write(json.dumps(entry).encode())
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:  # truncate nothing else
+                f.truncate()
+                f.write(json.dumps(entry).encode())
     except OSError:
         pass  # the cache is best-effort
 

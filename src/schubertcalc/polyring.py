@@ -129,11 +129,6 @@ def _add_terms(out: dict[int, int], terms: dict[int, int], sign: int = 1) -> dic
     return out
 
 
-def _linear(coords: Sequence[int]) -> dict[int, int]:
-    """The packed terms of the linear form with simple-root coefficients ``coords``."""
-    return {1 << (_W * k): int(c) for k, c in enumerate(coords) if c}
-
-
 def _mul_into(out: dict[int, int], x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
     """Add the product of the packed terms ``x`` and ``y`` into ``out`` in place; returns ``out``.
 
@@ -216,7 +211,7 @@ class Polynomial:
 
     @classmethod
     def linear(cls, coords: Sequence[int]) -> "Polynomial":
-        return _make(len(coords), _linear(coords))
+        return _make(len(coords), {1 << (_W * k): int(f) for k, f in enumerate(coords) if f})
 
     # -- basic protocol --------------------------------------------------
 
@@ -434,7 +429,7 @@ def _substitute(p: Polynomial, images, rank: int) -> Polynomial:
     for j, image in enumerate(images):
         shift = _W * j
         powers = [{0: 1}]  # powers[x] is the terms of images[j] ** x
-        lin = _linear(image)
+        lin = Polynomial.linear(image)._t
         out: dict[tuple[int, int], int] = {}
         get = out.get
         for (s, e), c in terms.items():

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -21,7 +22,7 @@ from schubertcalc import (
     product_expansion,
     word_to_element,
 )
-from schubertcalc.cli import main, parse_element, load_group
+from schubertcalc.cli import _entry_digest, main, parse_element, load_group
 
 
 def run(capsys, *argv):
@@ -759,6 +760,37 @@ def test_symlink_at_the_cache_entry_is_refused_not_followed(tmp_path, capsys, mo
     assert run(capsys, *argv) == (0, "y4^2 - y2*y4 - y1*y4 + y1*y2\n", "")
     assert link.is_symlink() and list(cache.iterdir()) == [link]
     assert not target.exists() if dangling else target.read_text() == "not an entry"
+
+
+def test_cache_read_does_not_follow_a_symlink_to_a_valid_entry(tmp_path, capsys, monkeypatch):
+    cache, target = tmp_path / "cache", tmp_path / "target"
+    cache.mkdir()
+    key, value = json.loads(GOLDEN_A3_ENTRY[1])["key"], [{"coeff": 7, "exp": [0, 0, 0]}]
+    target.write_text(json.dumps({"format": 2, "key": key, "value": value, "sha256": _entry_digest(key, value)}))
+    (cache / GOLDEN_A3_ENTRY[0]).symlink_to(target)
+    monkeypatch.setenv("SCHUBERTCALC_CACHE_DIR", str(cache))
+    argv = ("constant", "--group", "A3", "--w", "3124", "--v", "4123", "--u", "4123")
+    assert run(capsys, *argv) == (0, "y4^2 - y2*y4 - y1*y4 + y1*y2\n", "")
+
+
+@pytest.mark.parametrize("kind", ["hard link", "fifo"])
+def test_cache_write_leaves_a_hard_link_or_fifo_at_the_entry_alone(tmp_path, capsys, monkeypatch, kind):
+    cache, target = tmp_path / "cache", tmp_path / "target"
+    cache.mkdir()
+    entry = cache / GOLDEN_A3_ENTRY[0]
+    if kind == "fifo":
+        os.mkfifo(entry)  # a blocking open would wait for the other end forever
+    else:
+        target.write_text("not an entry")
+        os.link(target, entry)
+    monkeypatch.setenv("SCHUBERTCALC_CACHE_DIR", str(cache))
+    argv = ("constant", "--group", "A3", "--w", "3124", "--v", "4123", "--u", "4123")
+    assert run(capsys, *argv) == (0, "y4^2 - y2*y4 - y1*y4 + y1*y2\n", "")
+    assert list(cache.iterdir()) == [entry]
+    if kind == "fifo":
+        assert stat.S_ISFIFO(entry.lstat().st_mode)
+    else:
+        assert target.read_text() == entry.read_text() == "not an entry"
 
 
 def test_edited_cache_entry_is_not_served(tmp_path, capsys, monkeypatch):
