@@ -19,20 +19,19 @@ partial subword product: after a prefix ``w'`` this is the column
 
     S_v|_{w' r_i} = S_v|_{w'} + [v r_i < v] (w' . alpha_i) S_{v r_i}|_{w'}.
 
-:func:`restrict_all`, :func:`schubert_class` and :func:`restrict` read a
-shared per-group table: the canonical word of ``w`` extends that of its
-prefix, so each column is one letter on the prefix's column, sharing its
-unchanged polynomials.  A Schubert class is one row across all columns,
-so :func:`schubert_class` reads them from one per-group list in canonical
-order, filled from the table on the group's first class.  :func:`restrict`
-with an explicit ``word`` (an independent check of the table), and without
-one when the table lacks the column (as for :func:`base_constant`), runs a
-Bruhat-pruned pass instead: it keeps only the states ``q <= v``, adds into
-term dicts it owns in place, and carries the prefix's images of the simple
-roots along the word, so it builds no matrix and returns ``S_v|_w`` alone.
-A letter changes only the images that the Cartan matrix's row for it
-touches, and the pass stops after the last letter in ``v``'s support, since
-no later letter moves a state ``q <= v``.
+:func:`schubert_class` runs the same recurrence along a row: in canonical
+order each element ``w`` after the identity is its canonical prefix
+``p = w r_k`` (``k`` its least descent) and one letter, so the class of
+``v`` at ``w`` comes from the classes of ``v`` and ``v r_k`` at ``p``.  A
+class is built from the classes below it in right weak order alone.
+
+:func:`restrict` reads ``v``'s class if the group has built it; otherwise,
+and always for an explicit ``word`` (an independent check of the classes),
+it runs the pass.  Pruned for one ``v``, the pass keeps only the states
+``q <= v`` and stops after the last letter of ``v``'s support; unpruned, its
+states are the column :func:`restrict_all` returns.  It adds into term
+dicts it owns in place and carries the prefix's images of the simple roots
+along the word, so it builds no matrix.
 
 Two special values get their own entry points: the bottom restriction
 ``S_w|_w`` (a product of positive roots, by the closed formula) and the
@@ -60,40 +59,22 @@ __all__ = [
 ]
 
 
-def _extend(acc: dict, prefix: WeylElement, k: int) -> dict:
-    """The column at ``prefix * r_{k+1} > prefix``, from the column ``acc`` at ``prefix``.
+def _billey_pass(w: WeylElement, v: WeylElement | None = None, word=None) -> dict[WeylElement, dict[int, int]]:
+    """The states ``{q: packed terms of S_q|_w}`` after one pass over a reduced
+    word of ``w``, by default its canonical one; with ``v``, only ``q <= v``.
 
-    A copy: the table keeps ``acc``, and the new column shares its
-    unchanged polynomials, so nothing is added in place.
-    """
-    rs = prefix.rs
-    factor = Polynomial.linear(prefix.act(rs.simple_roots[k]))
-    zero = Polynomial.zero(rs.rank)
-    nxt = dict(acc)
-    for p, poly in acc.items():
-        if p.x[k] > 0:  # p * r_{k+1} > p
-            q = p._step(k)
-            nxt[q] = nxt.get(q, zero).addmul(poly, factor)
-    return nxt
-
-
-def _billey_pass(w: WeylElement, v: WeylElement, word=None) -> Polynomial:
-    """``S_v|_w`` from one pass over a reduced word of ``w``, by default its canonical one.
-
-    Only the states ``q <= v`` are kept, each with a term dict of its own
-    that the pass adds into in place: within one letter the sources
-    (``x[k] > 0``) and the targets (``x[k] < 0``) are disjoint, so nothing is
-    read after it is written.  ``cols[j]`` is ``prefix . alpha_{j+1}``, and
-    ``prefix r_k . alpha_j = cols[j] - A[k][j] cols[k]`` carries it along
-    the word, so no matrix is built; only the columns ``j`` with
-    ``A[k][j] != 0`` change.  A letter outside ``v``'s support moves no
-    state ``q <= v``, so the pass stops after the last letter inside it.
+    Each state's term dict is its own and is added into in place: within one
+    letter the sources (``x[k] > 0``) and the targets (``x[k] < 0``) are
+    disjoint.  ``cols[j]`` is ``prefix . alpha_{j+1}``, carried along the word
+    as ``cols[j] - A[k][j] cols[k]`` over the ``j`` with ``A[k][j] != 0``, so no
+    matrix is built.  A letter outside ``v``'s support moves no state
+    ``q <= v``, so a pruned pass skips it and stops after the last one inside.
     """
     rs = w.rs
     cols = list(rs.simple_roots)
     acc = {rs.identity: Polynomial.one(rs.rank)._t}  # never a target: only read
-    support = set(v.reduced_word())
     word = w.reduced_word() if word is None else word
+    support = set(word if v is None else v.reduced_word())
     end = max((n + 1 for n, i in enumerate(word) if i in support), default=0)
     for i in word[:end]:
         k = i - 1
@@ -101,11 +82,11 @@ def _billey_pass(w: WeylElement, v: WeylElement, word=None) -> Polynomial:
         if i in support:
             factor = Polynomial.linear(ck)._t
             for q, t in [(p._step(k), t) for p, t in acc.items() if p.x[k] > 0]:
-                if bruhat_leq(q, v):
+                if v is None or bruhat_leq(q, v):
                     _mul_into(acc.setdefault(q, {}), t, factor)
         for j, a in rs._row_support[k]:
             cols[j] = [c - a * b for c, b in zip(cols[j], ck)]
-    return _checked(rs.rank, acc.get(v, {}))
+    return acc
 
 
 def restrict(v: WeylElement, w: WeylElement, word=None) -> Polynomial:
@@ -113,35 +94,31 @@ def restrict(v: WeylElement, w: WeylElement, word=None) -> Polynomial:
 
     ``word`` optionally overrides the reduced word of ``w`` used for the
     computation (it must be reduced and multiply to ``w``); the result is
-    the same for every choice.
+    the same for every choice.  Without it, ``v``'s class is read if the
+    group has built it.
     """
     rs = _same_group(v, w)
-    if word is not None:
+    if word is None:
+        if not bruhat_leq(v, w):
+            return Polynomial.zero(rs.rank)
+        cls = rs.cache("schubert").get(v)
+        if cls is not None:
+            return cls.value(w)
+    else:
         word = tuple(word)
         target = word_to_element(rs, word)
         if len(word) != target.length:
             raise ValueError("word is not reduced")
         if target != w:
             raise ValueError("word does not multiply to the requested element")
-        return _billey_pass(w, v, word)
-    if not bruhat_leq(v, w):
-        return Polynomial.zero(rs.rank)
-    col = rs.cache("restrict_all").get(w)
-    return _billey_pass(w, v) if col is None else col[v]
+    return _checked(rs.rank, _billey_pass(w, v, word).get(v, {}))
 
 
-@_per_group("restrict_all")
 def restrict_all(w: WeylElement) -> dict[WeylElement, Polynomial]:
-    """The column ``{v: S_v|_w for v <= w}``, from the shared table.
-
-    The canonical word of ``w`` ends in its least descent, so the column is
-    one letter on its prefix's column, which fills first.
-    """
-    if w.length == 0:
-        return {w: Polynomial.one(w.rs.rank)}
-    k = _first_negative(w.x)
-    prefix = w._step(k)
-    return _extend(restrict_all(prefix), prefix, k)
+    """The column ``{v: S_v|_w for v <= w}``: every state of one pass over the
+    canonical word of ``w``; kept in no table."""
+    rank = w.rs.rank
+    return {v: _checked(rank, t) for v, t in _billey_pass(w).items()}
 
 
 def bottom_factors(w: WeylElement) -> list[Root]:
@@ -164,27 +141,39 @@ def bottom_restriction(w: WeylElement) -> Polynomial:
 
 
 @_per_group("schubert")
-def schubert_class(w: WeylElement) -> GkmClass:
-    """The Schubert class of ``w`` as a GKM class; memoized per group.
+def schubert_class(v: WeylElement) -> GkmClass:
+    """The Schubert class of ``v`` as a GKM class; memoized per group.
 
-    Supported on ``{v : v >= w}``, homogeneous of combinatorial degree
-    ``l(w)``, with bottom value :func:`bottom_restriction`.
+    Supported on ``{w : w >= v}``, homogeneous of combinatorial degree
+    ``l(v)``, with bottom value :func:`bottom_restriction`.  Its value at
+    ``w = p r_k`` is ``S_v|_p + [v r_k < v] (p . alpha_k) S_{v r_k}|_p``, so
+    the classes of ``v r_k`` for the descents ``k`` of ``v`` are built first.
     """
-    rs = w.rs
-    zero = Polynomial.zero(rs.rank)
-    return GkmClass(rs, [col.get(w, zero) for col in _columns(rs)])
+    rs = v.rs
+    lower = [schubert_class(v._step(k)).values if c < 0 else None for k, c in enumerate(v.x)]
+    row = [Polynomial.zero(rs.rank) if v.length else Polynomial.one(rs.rank)]
+    for p, k, factor in _prefixes(rs):
+        val = row[p]
+        below = lower[k]
+        if below is not None and below[p]._t:
+            val = _checked(rs.rank, _mul_into(dict(val._t), below[p]._t, factor))
+        row.append(val)
+    return GkmClass(rs, row)
 
 
-def _columns(rs: RootSystem) -> list[dict[WeylElement, Polynomial]]:
-    """Every column :func:`restrict_all` at every element, in canonical order.
-
-    One list per group, filled once (and idempotently) from the table, so a
-    Schubert class is one read of each column and no call per element.
-    """
-    cols = rs.caches.get("columns")
-    if cols is None:
-        cols = rs.caches["columns"] = [restrict_all(v) for v in rs.elements()]
-    return cols
+def _prefixes(rs: RootSystem) -> list[tuple[int, int, dict[int, int]]]:
+    """For each element ``w`` after the identity, in canonical order: the index
+    of its canonical prefix ``p = w r_{k+1}``, ``k``, and ``p . alpha_{k+1}``
+    as packed terms.  One list per group, filled once (and idempotently)."""
+    got = rs.caches.get("prefixes")
+    if got is None:
+        got = []
+        for w in rs.elements()[1:]:
+            k = _first_negative(w.x)
+            p = w._step(k)
+            got.append((rs.element_index(p), k, Polynomial.linear(p.act(rs.simple_roots[k]))._t))
+        rs.caches["prefixes"] = got
+    return got
 
 
 def base_constant(v: WeylElement) -> Polynomial:

@@ -15,14 +15,16 @@ is corrupt (``NonzeroResidualError``).
 Values repeat: by the right action ``S_u . r_i = S_u`` for every ascent
 ``u r_i > u``, so ``S_u`` is constant on right cosets of the parabolic
 subgroup of ``u``'s ascents, and ``S_w * S_v`` on those of their common
-ascents.  Each Schubert class is one row across billey's restriction
-columns, read from one per-group list of them in canonical order.  The
-class product forms each distinct pair of nonzero values once, and every
-point outside the common support gets the shared zero without its pair
-being hashed.  Each step of the elimination forms ``coeff * s`` once per
-distinct value ``s`` of ``S_w`` (the support grouped by value is memoized
-beside the class), then subtracts it in place from the residual of every
-point of that group, a term dict of its own from the point's first update.
+ascents.  Each Schubert class is one row of billey's recurrence, built
+from the classes below it in right weak order alone, so an expansion
+builds the classes of its factors, of its terms and of what lies below
+them, and no more.  The class product forms each distinct pair of
+nonzero values once, and every point outside the common support gets the
+shared zero without its pair being hashed.  Each step of the elimination
+forms ``coeff * s`` once per distinct value ``s`` of ``S_w`` (the support
+grouped by value is memoized beside the class), then subtracts it in place
+from the residual of every point of that group, a term dict of its own
+from the point's first update.
 For ``w``'s own group, whose value is the divisor, the product is the
 residual at ``w`` itself, which the division has just proved, so that
 group forms none.  Zero and equality tests in these loops, and in the
@@ -66,14 +68,21 @@ __all__ = [
 ]
 
 ORACLE_SWEEP_CAP = 120  # largest |W| swept by default
-# Largest |W| the oracle expands in.  Its Schubert classes read Billey's
-# restriction column at every element of W: one A5 (720) constant takes
-# about 4 s and 370 MB, while F4 (1152) runs out of a 3.5 GB address space.
+# Largest |W| the oracle expands in, and any verify suite walks.  A product
+# builds the classes below its factors and terms, each a list over W, so its
+# cost grows with their lengths: on fresh groups, an A5 (720) product of
+# lengths (1, 2) takes 0.02 s and 17 MB, of lengths (7, 7) 3.2 s and 355 MB;
+# in F4 (1152), (2, 2) takes 0.3 s, but (6, 6) already 8.6 s and 776 MB.
 ORACLE_MAX_GROUP = 720
 
 
 def _check_sweep_cap(rs: RootSystem, force: bool) -> None:
-    """Refuse a group past ``ORACLE_SWEEP_CAP`` unless ``force``; every sweep walks all of W."""
+    """Refuse a group past ``ORACLE_MAX_GROUP``, and past ``ORACLE_SWEEP_CAP``
+    unless ``force``; every suite walks all of W."""
+    if rs.order() > ORACLE_MAX_GROUP:
+        raise GroupTooLargeError(
+            f"|W| = {rs.order()} exceeds the oracle's limit {ORACLE_MAX_GROUP}, with or without force"
+        )
     if rs.order() > ORACLE_SWEEP_CAP and not force:
         raise GroupTooLargeError(
             f"|W| = {rs.order()} exceeds the oracle sweep cap {ORACLE_SWEEP_CAP}; "

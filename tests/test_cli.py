@@ -262,6 +262,16 @@ def test_verify_force_overrides_the_cap_for_cover(capsys, monkeypatch):
     assert code == 0 and out.startswith("cover sweep A2: ") and "0 violations" in out
 
 
+
+@pytest.mark.parametrize("suite", ["sweep", "cover", "props", "all"])
+def test_verify_force_refuses_every_suite_past_the_oracle_limit(capsys, suite):
+    # F4, |W| = 1152: cover would walk 9.6M reduced words and props build 1,152 classes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--group", "F4", "--suite", suite, "--force")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "error: |W| = 1152 exceeds the oracle's limit 720, with or without force\n"
+
 def test_verify_names_a_group_without_a_label_alike_on_every_line(tmp_path, capsys):
     path = tmp_path / "a2.json"
     path.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]]}))
