@@ -30,8 +30,9 @@ and always for an explicit ``word`` (an independent check of the classes),
 it runs the pass.  Pruned for one ``v``, the pass keeps only the states
 ``q <= v`` and stops after the last letter of ``v``'s support; unpruned, its
 states are the column :func:`restrict_all` returns.  It adds into term
-dicts it owns in place and carries the prefix's images of the simple roots
-along the word, so it builds no matrix.
+dicts it owns in place and steps a local matrix of the prefix along the
+word by the one matrix step, :meth:`RootSystem._mat_step`, setting it on no
+element.
 
 Two special values get their own entry points: the bottom restriction
 ``S_w|_w`` (a product of positive roots, by the closed formula) and the
@@ -65,27 +66,25 @@ def _billey_pass(w: WeylElement, v: WeylElement | None = None, word=None) -> dic
 
     Each state's term dict is its own and is added into in place: within one
     letter the sources (``x[k] > 0``) and the targets (``x[k] < 0``) are
-    disjoint.  ``cols[j]`` is ``prefix . alpha_{j+1}``, carried along the word
-    as ``cols[j] - A[k][j] cols[k]`` over the ``j`` with ``A[k][j] != 0``, so no
-    matrix is built.  A letter outside ``v``'s support moves no state
+    disjoint.  A local matrix of the prefix steps along the word by
+    :meth:`RootSystem._mat_step`, and its column ``k`` is ``prefix . alpha_{k+1}``;
+    it is set on no element.  A letter outside ``v``'s support moves no state
     ``q <= v``, so a pruned pass skips it and stops after the last one inside.
     """
     rs = w.rs
-    cols = list(rs.simple_roots)
+    m = rs.identity.mat
     acc = {rs.identity: Polynomial.one(rs.rank)._t}  # never a target: only read
     word = w.reduced_word() if word is None else word
     support = set(word if v is None else v.reduced_word())
     end = max((n + 1 for n, i in enumerate(word) if i in support), default=0)
     for i in word[:end]:
         k = i - 1
-        ck = cols[k]
         if i in support:
-            factor = Polynomial.linear(ck)._t
+            factor = Polynomial.linear([row[k] for row in m])._t
             for q, t in [(p._step(k), t) for p, t in acc.items() if p.x[k] > 0]:
                 if v is None or bruhat_leq(q, v):
                     _mul_into(acc.setdefault(q, {}), t, factor)
-        for j, a in rs._row_support[k]:
-            cols[j] = [c - a * b for c, b in zip(cols[j], ck)]
+        m = rs._mat_step(m, k)
     return acc
 
 
@@ -171,7 +170,7 @@ def _prefixes(rs: RootSystem) -> list[tuple[int, int, dict[int, int]]]:
         for w in rs.elements()[1:]:
             k = _first_negative(w.x)
             p = w._step(k)
-            got.append((rs.element_index(p), k, Polynomial.linear(p.act(rs.simple_roots[k]))._t))
+            got.append((rs.element_index(p), k, Polynomial.linear([row[k] for row in p.mat])._t))
         rs.caches["prefixes"] = got
     return got
 

@@ -20,10 +20,11 @@ than multiplying by one-letter words.  Nothing here needs the whole group:
 heights, so only :meth:`RootSystem.elements` enumerates.  The matrix of
 ``w`` on the simple-root basis (column ``j`` is ``w(alpha_j)``) serves the
 action on roots and the canonical enumeration order (length, then matrix
-key).  The enumeration gives each element it finds its matrix from the
-parent that found it; any other element gets its matrix on first use,
-along a chain of steps.  Either way one step, from ``w`` to ``w * r_i``,
-rebuilds only the entries it changes.  Type A additionally gets a
+key).  The matrix, the reduced word and the one-line form are each
+derived on first use by one walk down canonical prefixes (``w * r_k``, ``k``
+the least descent) to an element that has the field, then back up one
+letter at a time; the matrix step, from ``w`` to ``w * r_i``, rebuilds only
+the entries it changes.  Type A additionally gets a
 conversion layer to one-line permutation notation, with the conventions
 
     alpha_i = y_{i+1} - y_i,        w . y_i = y_{w(i)},
@@ -145,31 +146,35 @@ class WeylElement:
             inv._inv = self
         return inv
 
+    def _walk(self, slot: str, step):
+        """The field ``slot``, derived on first use down canonical prefixes.
+
+        The canonical prefix of ``w`` is ``p = w * r_{k+1}``, ``k`` its least
+        right descent.  The walk goes down prefixes to an element that has the
+        field (the identity has every field its group has), then fills it back
+        up, one ``step(value at p, k)`` per letter.
+        """
+        got = getattr(self, slot)
+        if got is None:
+            chain = []
+            w = self
+            while got is None:
+                k = _first_negative(w.x)
+                chain.append((w, k))
+                w = w._step(k)
+                got = getattr(w, slot)
+            for u, k in reversed(chain):
+                got = step(got, k)
+                setattr(u, slot, got)
+        return got
+
     @property
     def mat(self) -> Matrix:
         """Integer matrix on the simple-root basis; column ``j`` is ``w(alpha_j)``.
 
-        :meth:`RootSystem.elements` fills it for every element it finds, from
-        the parent that found it.  Otherwise it is built once, from a
-        neighbour ``w * r_i`` that already has its matrix (else down the least
-        right descents), by :meth:`RootSystem._mat_step`.
+        Built once, from the canonical prefix's matrix by :meth:`RootSystem._mat_step`.
         """
-        if self._mat is None:
-            chain = []
-            w = self
-            while w._mat is None:
-                k = next(
-                    (k for k, u in enumerate(w._next) if u is not None and u._mat is not None),
-                    None,
-                )
-                if k is None:
-                    k = _first_negative(w.x)
-                chain.append((w, k))
-                w = w._step(k)
-            m = w._mat
-            for u, k in reversed(chain):
-                m = u._mat = self.rs._mat_step(m, k)
-        return self._mat
+        return self._walk("_mat", self.rs._mat_step)
 
     def act(self, root: Root) -> Root:
         return _mat_vec(self.mat, root)
@@ -192,30 +197,13 @@ class WeylElement:
         >>> W.longest_element().reduced_word()
         (1, 2, 1)
         """
-        if self._word is None:
-            chain = []
-            w = self
-            while w._word is None:
-                k = _first_negative(w.x)
-                chain.append((w, k))
-                w = w._step(k)
-            word = w._word
-            for u, k in reversed(chain):
-                word = word + (k + 1,)
-                u._word = word
-        return self._word
+        return self._walk("_word", lambda word, k: word + (k + 1,))
 
     def one_line(self) -> tuple[int, ...]:
         """One-line permutation notation (type A only), values in 1..n."""
-        if self._oneline is None:
-            rs = self.rs
-            if not rs.is_type_a:
-                raise UnknownTypeError("one-line notation requires a type A root system")
-            perm = list(range(1, rs.rank + 2))
-            for i in self.reduced_word():
-                perm[i - 1], perm[i] = perm[i], perm[i - 1]
-            self._oneline = tuple(perm)
-        return self._oneline
+        if not self.rs.is_type_a:
+            raise UnknownTypeError("one-line notation requires a type A root system")
+        return self._walk("_oneline", lambda perm, k: perm[:k] + (perm[k + 1], perm[k]) + perm[k + 2:])
 
     def describe(self) -> str:
         """Compact human-readable form: one-line word up to A8, else a word in s_i."""
@@ -292,6 +280,8 @@ class RootSystem:
         self.identity = self._element((1,) * self.rank, 0)
         self.identity._word = ()
         self.identity._mat = _identity_mat(self.rank)
+        if self.is_type_a:
+            self.identity._oneline = tuple(range(1, self.rank + 2))
         self._simple_refl = [self.identity._step(k) for k in range(self.rank)]
         self._refl_elements: dict[int, WeylElement] = {}
         self.caches: dict[str, dict] = {"bruhat": {}}
@@ -419,16 +409,10 @@ class RootSystem:
             out = [self.identity]
             level = [self.identity]
             while level:
-                # ascents of one length all land in the next; a dict keeps them
-                # once, each with its matrix from the parent that found it
-                nxt = {}
-                for w in level:
-                    for k, c in enumerate(w.x):
-                        if c > 0:
-                            u = w._step(k)
-                            nxt[u] = None
-                            if u._mat is None:
-                                u._mat = self._mat_step(w._mat, k)
+                # ascents of one length all land in the next and a dict keeps them
+                # once; each one's canonical prefix is in this level, so the sort
+                # reads its matrix through the walk in one step
+                nxt = {w._step(k): None for w in level for k, c in enumerate(w.x) if c > 0}
                 level = sorted(nxt, key=_canonical_key)
                 out.extend(level)
             # the index goes first: a reader that finds "elements" finds the index too

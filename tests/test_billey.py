@@ -265,13 +265,20 @@ def test_pruned_pass_matches_the_table_on_fresh_groups():
 
 
 def test_base_constant_builds_no_matrix():
-    """The pass carries its factor roots along the word: on a fresh group the
-    identity keeps the only matrix."""
+    """The pass steps a local matrix along the word: on a fresh group, after base
+    constants and a pass over a non-canonical word of w0, the identity keeps the
+    only matrix."""
+    rng = random.Random(23)
     for label in ("A4", "B4", "D4", "F4", "G2"):
         rs = named(label)
-        word = rs.longest_element().reduced_word()
+        w0 = rs.longest_element()
+        word = w0.reduced_word()
         for v in ((1,), (1, 2, 1), word[: len(word) // 2], word[len(word) // 2:]):
             base_constant(word_to_element(rs, v))
+        other = word
+        while other == word:
+            other = _random_reduced_word(w0, rng)
+        restrict(word_to_element(rs, word[: len(word) // 2]), w0, word=other)
         assert [w for w in rs._pool.values() if w._mat is not None] == [rs.identity], label
 
 
@@ -313,7 +320,7 @@ def _random_reduced_word(w, rng):
 @pytest.mark.parametrize("label,sample", [("A3", None), ("B3", None), ("C3", None), ("G2", None), ("D4", None), ("F4", 40)])
 def test_base_pass_matches_the_w0_column(label, sample):
     """``_billey_pass(w0, v)`` keeps only the states below v, stops after the
-    last letter of v's support and carries only the changed columns; its state
+    last letter of v's support and steps a local matrix; its state
     at v must still equal the state of the full pass at w0, on a separate fresh
     group.  Every v, or a seeded sample in F4."""
     rs, ref = named(label), named(label)

@@ -7,6 +7,7 @@ lengths, and brute-force subword enumeration for Bruhat comparisons.
 
 import functools
 import itertools
+import random
 
 import pytest
 
@@ -695,10 +696,75 @@ def test_products_inverses_and_matrices_agree(b2, g2):
             assert w.inverse().mat == _matrix_of(rs, w.reduced_word()[::-1])
             for v in elements[:: max(1, len(elements) // 12)]:
                 assert (w * v).mat == _matrix_of(rs, w.reduced_word() + v.reduced_word())
-    # on fresh groups, every matrix is the one enumeration gave from a parent
+    # on fresh groups, every matrix is the one the walk gave while the levels sorted
     for rs in (named("D4"), named("F4")):
         elements = rs.elements()
         assert all(w._mat == _matrix_of(rs, w.reduced_word()) for w in elements)
+
+
+def _seeded_elements(rs, seed, count):
+    """``count`` elements, each a climb from e by seeded ascents to a seeded length."""
+    rng = random.Random(seed)
+    got = []
+    for _ in range(count):
+        w = rs.identity
+        for _ in range(rng.randint(0, len(rs.positive_roots))):
+            w = w * rs.simple_reflection(rng.choice([i for i in range(1, rs.rank + 1) if w.right_ascent(i)]))
+        got.append(w)
+    return got
+
+
+@pytest.mark.parametrize("label", ["B8", "D8", "E8"])
+def test_fields_off_the_enumeration(label):
+    """Matrices and words derived on groups that never enumerate agree with the
+    dense matrix product along the word, and the word leads back to the element."""
+    rs = build(e8_cartan(), "E8") if label == "E8" else named(label)
+    for w in _seeded_elements(rs, 5, 12):
+        assert w.mat == _matrix_of(rs, w.reduced_word()), (label, w)
+        assert word_to_element(rs, w.reduced_word()) is w
+    assert "elements" not in rs.caches
+
+
+def test_walk_is_safe_under_concurrent_first_use():
+    """Four threads derive the matrix, word and one-line form of the same seeded
+    elements of a fresh A8 (never enumerated: |W| = 362,880), each in its own
+    seeded order, with thread switches forced often; every value must equal the
+    one a group of its own builds serially."""
+    import sys
+    import threading
+
+    def fields(w):
+        return w.mat, w.reduced_word(), w.one_line()
+
+    serial = named("A8")
+    expect = [fields(w) for w in _seeded_elements(serial, 9, 60)]
+    rs = named("A8")
+    elements = _seeded_elements(rs, 9, 60)
+    errors = []
+
+    def derive(seed):
+        order = list(enumerate(elements))
+        random.Random(seed).shuffle(order)
+        try:
+            for n, w in order:
+                if fields(w) != expect[n]:
+                    errors.append((n, w))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=derive, args=(seed,)) for seed in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+    finally:
+        for t in threads:
+            t.join(timeout=60)
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert [fields(w) for w in elements] == expect
+    assert "elements" not in rs.caches
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "D4", "F4"])
